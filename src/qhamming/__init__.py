@@ -39,10 +39,16 @@ from .krawtchouk import (
     binomial,
     kraw_eval,
     kraw_partial_sum,
+    kraw_recurrence,
     kraw_row,
     kraw_table,
 )
-from .linearization import LinearizationRow, kbasis_extract, linearize_product
+from .linearization import (
+    LinearizationRow,
+    kbasis_extract,
+    linearization_terms,
+    linearize_product,
+)
 from .lp_bound import (
     BoundReport,
     ConditionReport,
@@ -90,8 +96,10 @@ __all__ = [
     "kbasis_extract",
     "kraw_eval",
     "kraw_partial_sum",
+    "kraw_recurrence",
     "kraw_row",
     "kraw_table",
+    "linearization_terms",
     "linearize_product",
     "make_distribution",
     "mw_forward",

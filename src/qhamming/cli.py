@@ -22,11 +22,12 @@ from typing import Optional, Sequence
 
 import click
 
+from . import __version__
 from .enumerators import distribution_from_dict, distribution_to_dict, mw_forward, mw_inverse
 from .exceptions import ConditionError, DomainError, HorizonError, SchemaError
 from .hamming_witness import ThresholdReport, default_horizon, find_threshold, hamming_rhs, singleton_rhs
 from .krawtchouk import KrawParams, kraw_eval
-from .lp_bound import check_conditions, dimension_bound, witness_from_dict
+from .lp_bound import ConditionReport, dimension_bound, witness_from_dict
 from .rational import approx_decimal, format_rational, parse_rational
 
 _FORMATS = click.Choice(["text", "json", "csv"])
@@ -89,7 +90,7 @@ def _csv_cell(value) -> str:
 
 
 @click.group()
-@click.version_option(package_name="qhamming")
+@click.version_option(version=__version__, prog_name="qhamming")
 def main() -> None:
     """Exact bound computations for quantum codes over m-level systems."""
 
@@ -156,10 +157,11 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
         poly, S = witness_from_dict(doc)
     except SchemaError as exc:
         _fail(2, str(exc))
-    cond = check_conditions(poly, S)
-    report = None
-    if cond.ok:
+    try:
         report = dimension_bound(poly, S)
+        cond = ConditionReport(S, True, (), True, ())
+    except ConditionError as exc:
+        report, cond = None, exc.report
 
     if fmt == "text":
         _render_bound_text(cond, report, poly.params.n, poly.params.m, S, approx)
@@ -195,6 +197,10 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
                  _csv_cell(report.bound), report.bound_floor, report.argmax_t]
                 for t, r in report.ratios
             ]
+            if approx:
+                header += ["ratio_approx", "bound_approx"]
+                for row, (_, r) in zip(rows, report.ratios):
+                    row += [approx_decimal(r), approx_decimal(report.bound)]
             _emit_csv(header, rows)
     if not cond.ok:
         sys.exit(3)
@@ -221,13 +227,30 @@ def _render_threshold_text(report: ThresholdReport, approx: bool) -> None:
         click.echo(f"  {v.n:>3}  {'yes' if v.passed else 'NO':<4}  {arg:>8}  {b}  {h}")
 
 
-def _threshold_csv(report: ThresholdReport) -> tuple[list[str], list[list]]:
+def _approx_or_none(value) -> Optional[str]:
+    return None if value is None else approx_decimal(value)
+
+
+def _threshold_json(report: ThresholdReport, approx: bool) -> dict:
+    payload = report.to_dict()
+    if approx:
+        for entry, v in zip(payload["per_n"], report.per_n):
+            entry["bound_approx"] = _approx_or_none(v.bound)
+            entry["hamming_rhs_approx"] = approx_decimal(v.hamming)
+    return payload
+
+
+def _threshold_csv(report: ThresholdReport, approx: bool) -> tuple[list[str], list[list]]:
     header = ["n", "pass", "argmax_t", "bound", "hamming_rhs"]
     rows = [
         [v.n, _csv_cell(v.passed), _csv_cell(v.argmax_t), _csv_cell(v.bound),
          _csv_cell(v.hamming)]
         for v in report.per_n
     ]
+    if approx:
+        header += ["bound_approx", "hamming_rhs_approx"]
+        for row, v in zip(rows, report.per_n):
+            row += [_csv_cell(_approx_or_none(v.bound)), approx_decimal(v.hamming)]
     return header, rows
 
 
@@ -248,9 +271,9 @@ def threshold(d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) ->
     if fmt == "text":
         _render_threshold_text(report, approx)
     elif fmt == "json":
-        _emit_json(report.to_dict())
+        _emit_json(_threshold_json(report, approx))
     else:
-        header, rows = _threshold_csv(report)
+        header, rows = _threshold_csv(report, approx)
         _emit_csv(header, rows)
     if not report.stable_tail:
         _fail(4, f"threshold {report.threshold} has no stable tail at horizon {report.horizon}")
@@ -329,7 +352,11 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
         for i, a in enumerate(out.entries):
             click.echo(f"  A[{i}] = {_scalar_text(a, approx)}")
     elif fmt == "json":
-        _emit_json(distribution_to_dict(out))
+        payload = distribution_to_dict(out)
+        if approx:
+            payload["K_approx"] = approx_decimal(out.K)
+            payload["A_approx"] = [approx_decimal(a) for a in out.entries]
+        _emit_json(payload)
     else:
         header = ["i", "value"]
         rows = [[i, _csv_cell(a)] for i, a in enumerate(out.entries)]
@@ -411,6 +438,9 @@ def check(n: int, dim: str, d: int, m: int, horizon: Optional[int], fmt: str, ap
             _csv_cell(s), _csv_cell(K <= s), _csv_cell(K == s),
             report.threshold, report.horizon, _csv_cell(report.stable_tail), _csv_cell(beyond),
         ]
+        if approx:
+            header += ["hamming_rhs_approx", "singleton_rhs_approx"]
+            row += [approx_decimal(h), approx_decimal(s)]
         _emit_csv(header, [row])
 
 

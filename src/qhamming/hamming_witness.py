@@ -3,7 +3,7 @@
 For distance d let e = floor((d-1)/2).  The witness polynomial has
 coefficients
 
-    f_t = (P_0(t) + P_1(t) + ... + P_e(t))^2
+    f_t = g(t)^2,   g(t) = P_0(t) + P_1(t) + ... + P_e(t),
 
 and, expanded through the product linearization and orthogonality, the
 closed-form values
@@ -24,9 +24,21 @@ finite computation, so every report carries the horizon and a
 stable-tail flag (the trailing tenth of the scan must be failure-free)
 and leaves the extrapolation to the caller.
 
-Coefficients are always built by sum-then-square: the equivalent shifted
-closed form P_e(t-1; n-1)^2 would hit a negative binomial argument at
-t = 0, so it is exercised only as a test identity for t >= 1.
+``check_n`` decides one length with O(e^2) exact integer operations
+and never builds a Krawtchouk table.  Outside S both sign conditions
+hold by construction: f_t = g(t)^2 is never negative, and f(t) = 0 for
+t > 2e because linearization coefficients vanish above degree i + j.
+So only t in S matter.  There g(t) comes from the degree recurrence at
+the points 0..2e, and f(t)/q^n = sum_{s<=e} B[t][s] C(n-t, s), where the
+table B (``_value_table``) is the n-free part of the closed form above,
+built once per (e, m).  The generic route, ``witness_coeffs`` with
+``lp_bound.dimension_bound``, stays as the engine for arbitrary
+witnesses and as the test oracle for ``check_n``.
+
+``witness_coeffs`` sums the partial sums directly rather than through
+the shifted closed form P_e(t-1; n-1)^2, which would hit a negative
+binomial argument at t = 0; that identity is exercised only as a test
+for t >= 1.
 """
 from __future__ import annotations
 
@@ -36,9 +48,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exceptions import ConditionError, DomainError, HorizonError
-from .krawtchouk import KrawParams, binomial, kraw_partial_sum
-from .lp_bound import BoundReport, KBasisPoly, dimension_bound
+from .exceptions import DomainError, HorizonError
+from .krawtchouk import KrawParams, binomial, kraw_partial_sum, kraw_recurrence
+from .linearization import linearization_terms
+from .lp_bound import KBasisPoly
 from .rational import format_rational
 
 
@@ -76,33 +89,39 @@ def witness_coeffs(spec: WitnessSpec) -> KBasisPoly:
 def witness_value(t: int, spec: WitnessSpec) -> int:
     """f(t) by the closed-form triple sum.
 
-    Must agree with evaluating ``witness_coeffs`` through the basis; the
-    s-range is limited only by binomial support (s <= n-t, and the
-    first binomial forces 2t+2s-i-j <= t, which keeps the gamma-1
-    exponent nonnegative).
+    Must agree with evaluating ``witness_coeffs`` through the basis.
+    The n-free factors of each (i, j) term come from
+    ``linearization_terms``.
     """
     p = spec.params
     n = p.n
     if not 0 <= t <= n:
         raise DomainError(f"point t must lie in [0, {n}], got {t}")
-    g = p.gamma
-    w = g - 1
     e = spec.e
-    total = 0
-    for i in range(e + 1):
-        for j in range(e + 1):
-            for s in range(n - t + 1):
-                b1 = 2 * t + 2 * s - i - j
-                c1 = binomial(t, b1)
-                if c1 == 0:
-                    continue
-                c3 = binomial(b1, t + s - j)
-                if c3 == 0:
-                    continue
-                total += (
-                    c1 * binomial(n - t, s) * c3 * w ** (i + j - 2 * s - t) * g**s
-                )
+    total = sum(
+        a * binomial(n - t, s)
+        for i in range(e + 1)
+        for j in range(e + 1)
+        for s, a in enumerate(linearization_terms(i, j, t, p.m))
+    )
     return p.q**n * total
+
+
+@lru_cache(maxsize=128)
+def _value_table(e: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """B[t][s] for t in 0..2e, s in 0..e: f(t)/q^n = sum_s B[t][s] C(n-t, s).
+
+    Sums ``linearization_terms`` over i, j <= e; no entry depends on n.
+    """
+    table = []
+    for t in range(2 * e + 1):
+        row = [0] * (e + 1)
+        for i in range(e + 1):
+            for j in range(e + 1):
+                for s, a in enumerate(linearization_terms(i, j, t, m)):
+                    row[s] += a
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def hamming_rhs(n: int, d: int, m: int) -> Fraction:
@@ -165,17 +184,28 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
 
     Passes iff the sign conditions hold, the ratio maximum sits at
     t = 0 (ties count, since the smallest index wins them), and the
-    certified bound equals the Hamming right-hand side exactly.
+    certified bound equals the Hamming right-hand side exactly.  The
+    verdict equals the one ``dimension_bound(witness_coeffs(spec),
+    spec.index_set)`` gives; see the module docstring for the method.
     """
     spec = WitnessSpec(d, KrawParams(n, m))
-    f = witness_coeffs(spec)
     rhs = hamming_rhs(n, d, m)
-    try:
-        report: BoundReport = dimension_bound(f, spec.index_set)
-    except ConditionError:
+    e = spec.e
+    S = spec.index_set
+    g = [sum(col) for col in zip(*kraw_recurrence(e, S, spec.params))]
+    if not all(g):
         return NVerdict(n, d, m, False, False, None, None, rhs)
-    passed = report.argmax_t == 0 and report.bound == rhs
-    return NVerdict(n, d, m, passed, True, report.argmax_t, report.bound, rhs)
+    B = _value_table(e, m)
+    c = [sum(b * binomial(n - t, s) for s, b in enumerate(B[t])) for t in S]
+    # f(t)/f_t = q^n c[t] / g[t]^2 with g[t]^2 > 0, so compare by cross
+    # multiplication; a strict > keeps the smallest index on ties.
+    best = 0
+    for t in S[1:]:
+        if c[t] * g[best] ** 2 > c[best] * g[t] ** 2:
+            best = t
+    bound = Fraction(m**n * c[best], g[best] ** 2)
+    passed = best == 0 and bound == rhs
+    return NVerdict(n, d, m, passed, True, best, bound, rhs)
 
 
 @dataclass(frozen=True)

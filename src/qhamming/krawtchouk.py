@@ -9,8 +9,11 @@ degree-k polynomial evaluated at an integer point x in {0..n} is
 
 and every value is an exact (arbitrary-precision) integer.
 
-All functions are pure; the full value table per (n, m) is memoized
-behind an ``lru_cache``, which is safe under concurrent readers.
+All functions are pure.  ``kraw_table`` memoizes the full (n+1)^2 value
+table per (n, m) for the generic witness engine (``lp_bound``) and the
+orthogonality routes.  The threshold scan never touches that cache: it
+runs the degree recurrence at the few points it needs through
+``kraw_recurrence``.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Union
+from typing import Sequence, Union
 
 from .exceptions import DomainError
 
@@ -97,23 +100,36 @@ def kraw_partial_sum(e: int, x: int, p: KrawParams) -> int:
     return sum(kraw_eval(i, x, p) for i in range(e + 1))
 
 
-@lru_cache(maxsize=None)
-def _kraw_table(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    # Degree recurrence, q = m^2:
-    #   (k+1) P_{k+1}(x) = ((q-1)(n-k) + k - q x) P_k(x) - (q-1)(n-k+1) P_{k-1}(x)
-    # The division by k+1 is exact at every step.  Tests cross-check the
-    # whole table against kraw_eval's defining sum.
-    q = m * m
+def kraw_recurrence(k_max: int, xs: Sequence[int], p: KrawParams) -> list[list[int]]:
+    """Values P_k(x; n) as ``rows[k][i] = P_k(xs[i])`` for k = 0..k_max.
+
+    Degree recurrence, q = m^2:
+      (k+1) P_{k+1}(x) = ((q-1)(n-k) + k - q x) P_k(x) - (q-1)(n-k+1) P_{k-1}(x)
+    The division by k+1 is exact at every step.  Tests cross-check the
+    rows against kraw_eval's defining sum.
+    """
+    n = p.n
+    _require_range("degree k_max", k_max, n)
+    for x in xs:
+        _require_range("point x", x, n)
+    q = p.q
     g = q - 1
-    rows = [[1] * (n + 1)]
-    if n >= 1:
-        rows.append([g * n - q * x for x in range(n + 1)])
-    for k in range(1, n):
+    rows = [[1] * len(xs)]
+    if k_max >= 1:
+        rows.append([g * n - q * x for x in xs])
+    for k in range(1, k_max):
         a = g * (n - k) + k
         b = g * (n - k + 1)
         prev, cur = rows[k - 1], rows[k]
-        nxt = [((a - q * x) * cur[x] - b * prev[x]) // (k + 1) for x in range(n + 1)]
-        rows.append(nxt)
+        rows.append(
+            [((a - q * x) * c - b * pr) // (k + 1) for x, c, pr in zip(xs, cur, prev)]
+        )
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _kraw_table(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    rows = kraw_recurrence(n, range(n + 1), KrawParams(n, m))
     return tuple(tuple(row) for row in rows)
 
 

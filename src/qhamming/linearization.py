@@ -33,6 +33,28 @@ class LinearizationRow:
     coeffs: tuple[int, ...]
 
 
+def linearization_terms(i: int, j: int, k: int, m: int) -> tuple[int, ...]:
+    """The part of the coefficient of P_k in P_i P_j that is free of n.
+
+    The coefficient is ``sum_s terms[s] * C(n-k, s)`` with
+
+        terms[s] = C(k, 2k+2s-i-j) C(2k+2s-i-j, k+s-j)
+                   * (gamma-1)^(i+j-2s-k) * gamma^s,   gamma = m^2 - 1.
+
+    The first binomial vanishes once 2k+2s-i-j > k, so s stops at
+    floor((i+j-k)/2), where the exponent of gamma-1 is still
+    nonnegative; for k > i+j there are no terms at all.
+    """
+    g = m * m - 1
+    w = g - 1
+    terms = []
+    for s in range((i + j - k) // 2 + 1):
+        b1 = 2 * k + 2 * s - i - j
+        c = binomial(k, b1) * binomial(b1, k + s - j)
+        terms.append(c * w ** (i + j - 2 * s - k) * g**s if c else 0)
+    return tuple(terms)
+
+
 def linearize_product(i: int, j: int, p: KrawParams) -> LinearizationRow:
     """Expand P_i(x) P_j(x) in the Krawtchouk basis.
 
@@ -41,31 +63,19 @@ def linearize_product(i: int, j: int, p: KrawParams) -> LinearizationRow:
         sum_s C(k, 2k+2s-i-j) C(n-k, s) C(2k+2s-i-j, k+s-j)
               * (gamma-1)^(i+j-2s-k) * gamma^s
 
-    where s runs until the binomial factors vanish; every term with a
-    zero binomial contributes nothing, and on the surviving support the
-    exponent i+j-2s-k is nonnegative.
+    summed through ``linearization_terms``, which holds every factor
+    but C(n-k, s).
     """
     n = p.n
     if not 0 <= i <= n:
         raise DomainError(f"degree i must lie in [0, {n}], got {i}")
     if not 0 <= j <= n:
         raise DomainError(f"degree j must lie in [0, {n}], got {j}")
-    g = p.gamma
-    w = g - 1
-    coeffs = []
-    for k in range(n + 1):
-        acc = 0
-        for s in range(n - k + 1):
-            b1 = 2 * k + 2 * s - i - j
-            c1 = binomial(k, b1)
-            if c1 == 0:
-                continue
-            c3 = binomial(b1, k + s - j)
-            if c3 == 0:
-                continue
-            acc += c1 * binomial(n - k, s) * c3 * w ** (i + j - 2 * s - k) * g**s
-        coeffs.append(acc)
-    return LinearizationRow(i, j, p, tuple(coeffs))
+    coeffs = tuple(
+        sum(a * binomial(n - k, s) for s, a in enumerate(linearization_terms(i, j, k, p.m)))
+        for k in range(n + 1)
+    )
+    return LinearizationRow(i, j, p, coeffs)
 
 
 def kbasis_extract(values: Sequence[ExactScalar], p: KrawParams) -> tuple[Fraction, ...]:

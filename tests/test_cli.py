@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qhamming import lp_bound
 from qhamming.cli import main
 from qhamming.hamming_witness import WitnessSpec, witness_coeffs
 from qhamming.krawtchouk import KrawParams
@@ -133,6 +134,35 @@ def test_bound_missing_file_exits_2(runner):
     assert result.exit_code == 2
 
 
+def test_bound_evaluates_witness_once(runner, witness_file, tmp_path, monkeypatch):
+    calls = []
+    real = lp_bound._poly_values
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(lp_bound, "_poly_values", counting)
+    failing = tmp_path / "unit.json"
+    failing.write_text(json.dumps({"n": 3, "m": 2, "S": [0], "coeffs": ["1", "0", "0", "0"]}))
+    for path, code in ((witness_file, 0), (str(failing), 3)):
+        for fmt in ("text", "json", "csv"):
+            calls.clear()
+            result = runner.invoke(main, ["bound", path, "--format", fmt])
+            assert result.exit_code == code
+            assert len(calls) == 1, (path, fmt)
+
+
+def test_bound_csv_approx_adds_columns(runner, witness_file):
+    plain = runner.invoke(main, ["bound", witness_file, "--format", "csv"])
+    result = runner.invoke(main, ["bound", witness_file, "--format", "csv", "--approx"])
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows[0][-2:] == ["ratio_approx", "bound_approx"]
+    assert rows[1][-2:] == ["64", "2"]
+    assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain.output)))
+
+
 # --- threshold ----------------------------------------------------------
 
 
@@ -176,6 +206,30 @@ def test_threshold_csv_one_row_per_length(runner):
     assert len(rows) == 1 + 18  # header + n = 3..20
     assert rows[1] == ["3", "false", "2", "4", "4/5"]
     assert rows[3] == ["5", "true", "0", "2", "2"]
+
+
+def test_threshold_json_approx_adds_keys(runner):
+    args = ["threshold", "--d", "3", "--m", "2", "--horizon", "20", "--format", "json"]
+    plain = json.loads(runner.invoke(main, args).output)
+    result = runner.invoke(main, args + ["--approx"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["per_n"][0]["bound_approx"] == "4"
+    assert doc["per_n"][0]["hamming_rhs_approx"] == "0.8"
+    for entry in doc["per_n"]:
+        del entry["bound_approx"], entry["hamming_rhs_approx"]
+    assert doc == plain
+
+
+def test_threshold_csv_approx_adds_columns(runner):
+    args = ["threshold", "--d", "3", "--m", "2", "--horizon", "20", "--format", "csv"]
+    plain = runner.invoke(main, args).output
+    result = runner.invoke(main, args + ["--approx"])
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows[0][-2:] == ["bound_approx", "hamming_rhs_approx"]
+    assert rows[1] == ["3", "false", "2", "4", "4/5", "4", "0.8"]
+    assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain)))
 
 
 # --- table1 -------------------------------------------------------------
@@ -246,6 +300,17 @@ def test_macwilliams_missing_field_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_macwilliams_json_approx_adds_keys(runner, dist_file):
+    args = ["macwilliams", "--direction", "forward", dist_file, "--format", "json"]
+    plain = json.loads(runner.invoke(main, args).output)
+    result = runner.invoke(main, args + ["--approx"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc.pop("K_approx") == "1"
+    assert doc.pop("A_approx") == ["0.25", "1.5", "2.25"]
+    assert doc == plain
+
+
 def test_macwilliams_csv(runner, dist_file):
     result = runner.invoke(
         main, ["macwilliams", "--direction", "forward", dist_file, "--format", "csv"]
@@ -287,6 +352,17 @@ def test_check_singleton_equality(runner):
     assert doc["n_at_or_beyond_threshold"] is False
 
 
+def test_check_csv_approx_adds_columns(runner):
+    args = ["check", "--n", "5", "--K", "2", "--d", "3", "--m", "2", "--format", "csv"]
+    plain = runner.invoke(main, args).output
+    result = runner.invoke(main, args + ["--approx"])
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows[0][-2:] == ["hamming_rhs_approx", "singleton_rhs_approx"]
+    assert rows[1][-2:] == ["2", "2"]
+    assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain)))
+
+
 def test_check_bad_dimension_exits_2(runner):
     result = runner.invoke(main, ["check", "--n", "5", "--K", "x", "--d", "3", "--m", "2"])
     assert result.exit_code == 2
@@ -295,6 +371,13 @@ def test_check_bad_dimension_exits_2(runner):
 
 
 # --- cross-cutting ------------------------------------------------------
+
+
+def test_version_option(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
 
 
 def test_outputs_are_deterministic(runner, witness_file):

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhamming.exceptions import DomainError, HorizonError
+from qhamming import hamming_witness
+from qhamming.exceptions import ConditionError, DomainError, HorizonError
 from qhamming.hamming_witness import (
+    NVerdict,
     WitnessSpec,
+    _scan,
+    _value_table,
     check_n,
     default_horizon,
     find_threshold,
@@ -18,8 +22,8 @@ from qhamming.hamming_witness import (
     witness_coeffs,
     witness_value,
 )
-from qhamming.krawtchouk import KrawParams
-from qhamming.lp_bound import poly_eval
+from qhamming.krawtchouk import KrawParams, _kraw_table
+from qhamming.lp_bound import dimension_bound, poly_eval
 
 
 def test_spec_derived_fields():
@@ -285,3 +289,81 @@ def test_check_n_bound_matches_hamming_whenever_it_passes(d, m, data):
     if verdict.passed:
         assert verdict.bound == hamming_rhs(n, d, m)
         assert verdict.argmax_t == 0
+
+
+# --- check_n against the generic witness route ---------------------------
+
+
+def _generic_verdict(n, d, m):
+    """The verdict through witness_coeffs and dimension_bound, all t in 0..n."""
+    spec = WitnessSpec(d, KrawParams(n, m))
+    rhs = hamming_rhs(n, d, m)
+    try:
+        report = dimension_bound(witness_coeffs(spec), spec.index_set)
+    except ConditionError:
+        return NVerdict(n, d, m, False, False, None, None, rhs)
+    passed = report.argmax_t == 0 and report.bound == rhs
+    return NVerdict(n, d, m, passed, True, report.argmax_t, report.bound, rhs)
+
+
+def _assert_matches_generic(n, d, m):
+    verdict = check_n(n, d, m)
+    expected = _generic_verdict(n, d, m)
+    assert verdict == expected, (n, d, m)
+    assert verdict.to_dict() == expected.to_dict()
+    assert type(verdict.hamming) is Fraction
+    assert verdict.bound is None or type(verdict.bound) is Fraction
+    assert verdict.argmax_t is None or type(verdict.argmax_t) is int
+
+
+def test_check_n_matches_generic_route():
+    for m in range(2, 6):
+        for n in range(1, 51):
+            for d in range(1, min(11, n) + 1):
+                _assert_matches_generic(n, d, m)
+            _kraw_table.cache_clear()
+
+
+@pytest.mark.slow
+def test_check_n_matches_generic_route_full_grid():
+    # Every length find_threshold scans for d <= 25; about three minutes.
+    for m in range(2, 6):
+        for n in range(1, default_horizon(25) + 1):
+            for d in range(1, min(25, n) + 1):
+                if n <= default_horizon(d):
+                    _assert_matches_generic(n, d, m)
+            _kraw_table.cache_clear()
+
+
+def test_scan_builds_no_krawtchouk_table():
+    _kraw_table.cache_clear()
+    _scan.cache_clear()
+    find_threshold(15, 3)
+    assert _kraw_table.cache_info().currsize == 0
+
+
+def test_value_table_reproduces_closed_form():
+    for n in range(1, 13):
+        for m in (2, 3, 5):
+            for d in range(1, n + 1):
+                spec = WitnessSpec(d, KrawParams(n, m))
+                B = _value_table(spec.e, m)
+                assert len(B) == 2 * spec.e + 1
+                for t, row in enumerate(B):
+                    assert len(row) == spec.e + 1
+                    value = sum(b * comb(n - t, s) for s, b in enumerate(row))
+                    assert spec.params.q**n * value == witness_value(t, spec)
+
+
+def test_check_n_zero_partial_sum_fails_conditions(monkeypatch):
+    # g(t) never vanishes on S for any length scanned in practice, so
+    # force a zero at t = 1 to exercise the condition-failure verdict.
+    real = hamming_witness.kraw_recurrence
+
+    def zero_at_one(k_max, xs, p):
+        rows = real(k_max, xs, p)
+        return [[0 if x == 1 else v for x, v in zip(xs, row)] for row in rows]
+
+    monkeypatch.setattr(hamming_witness, "kraw_recurrence", zero_at_one)
+    verdict = check_n(9, 5, 2)
+    assert verdict == NVerdict(9, 5, 2, False, False, None, None, hamming_rhs(9, 5, 2))

@@ -11,6 +11,7 @@ from qhamming.krawtchouk import (
     binomial,
     kraw_eval,
     kraw_partial_sum,
+    kraw_recurrence,
     kraw_row,
     kraw_table,
 )
@@ -93,6 +94,28 @@ def test_table_matches_defining_sum_exhaustively():
             for k in range(n + 1):
                 for x in range(n + 1):
                     assert table[k][x] == kraw_eval(k, x, p)
+
+
+def test_recurrence_at_chosen_points_matches_defining_sum():
+    # A truncated degree range at scattered points, the way the threshold
+    # scan calls it, without building a table.
+    for n in (1, 5, 17, 40):
+        for m in (2, 5):
+            p = KrawParams(n, m)
+            xs = sorted({0, n // 3, n // 2, n})
+            for k_max in sorted({0, 1, n // 2, n}):
+                rows = kraw_recurrence(k_max, xs, p)
+                assert len(rows) == k_max + 1
+                for k, row in enumerate(rows):
+                    assert row == [kraw_eval(k, x, p) for x in xs]
+
+
+def test_recurrence_domain_errors():
+    p = KrawParams(4, 2)
+    with pytest.raises(DomainError):
+        kraw_recurrence(5, [0], p)
+    with pytest.raises(DomainError):
+        kraw_recurrence(2, [0, 5], p)
 
 
 @settings(max_examples=60, deadline=None)

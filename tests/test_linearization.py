@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qhamming.exceptions import DomainError
 from qhamming.krawtchouk import KrawParams, kraw_table
-from qhamming.linearization import kbasis_extract, linearize_product
+from qhamming.linearization import kbasis_extract, linearization_terms, linearize_product
 
 
 def test_degree_zero_factor_gives_unit_row():
@@ -46,6 +46,16 @@ def test_support_bounds():
                     for k in range(n + 1):
                         if k > i + j or k < abs(i - j):
                             assert coeffs[k] == 0, (n, m, i, j, k)
+
+
+def test_terms_stop_at_binomial_support():
+    # s runs to floor((i+j-k)/2); above degree i+j there are no terms.
+    for m in (2, 3):
+        for i in range(6):
+            for j in range(6):
+                for k in range(i + j + 3):
+                    terms = linearization_terms(i, j, k, m)
+                    assert len(terms) == max(0, (i + j - k) // 2 + 1)
 
 
 def test_symmetry_in_the_two_degrees():
