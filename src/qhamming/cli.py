@@ -7,6 +7,12 @@ Exit codes are a stable contract:
     3   witness sign conditions failed (report still printed)
     4   no stable passing tail within the scanned horizon
 
+Library errors become codes 2 and 4 in one place, ``_Main.invoke``.  A
+subcommand exits 3 or 4 itself only after printing its report.
+
+Each subcommand computes its result and describes it once, with exact
+values (``Fraction``, ``int``, ``bool``, ``None``), as text lines, a
+JSON object and CSV rows; ``_emit`` prints the one the format asks for.
 Rationals are always rendered exactly ("p/q", bare integer when the
 denominator is 1); ``--approx`` appends a decimal rendering without
 replacing the exact one.
@@ -18,17 +24,17 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NoReturn, Optional
 
 import click
 
 from . import __version__
-from .enumerators import distribution_from_dict, distribution_to_dict, mw_forward, mw_inverse
+from .enumerators import distribution_from_dict, mw_forward, mw_inverse
 from .exceptions import ConditionError, DomainError, HorizonError, SchemaError
-from .hamming_witness import ThresholdReport, default_horizon, find_threshold, hamming_rhs, singleton_rhs
+from .hamming_witness import ThresholdReport, find_threshold, hamming_rhs, singleton_rhs
 from .krawtchouk import KrawParams, kraw_eval
 from .lp_bound import ConditionReport, dimension_bound, witness_from_dict
-from .rational import approx_decimal, format_rational, parse_rational
+from .rational import approx_decimal, parse_rational, to_wire
 
 _FORMATS = click.Choice(["text", "json", "csv"])
 
@@ -45,7 +51,7 @@ def _output_options(func):
     return func
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -60,36 +66,88 @@ def _load_json_file(path: str) -> dict:
         _fail(2, f"malformed JSON in {path}: {exc}")
 
 
-def _scalar_text(value, approx: bool) -> str:
-    s = format_rational(value)
-    if approx:
-        s += f" (~{approx_decimal(value)})"
-    return s
-
-
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
-
-
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
-
-
-def _csv_cell(value) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     return str(value)
 
 
-@click.group()
+def _approx(value):
+    if isinstance(value, list):
+        return [approx_decimal(v) for v in value]
+    return None if value is None else approx_decimal(value)
+
+
+def _is_exact(value) -> bool:
+    """A rational, or a nonempty list of rationals, that gets an approximation."""
+    if isinstance(value, list):
+        return bool(value) and all(isinstance(v, Fraction) for v in value)
+    return isinstance(value, Fraction)
+
+
+def _with_approx(rows: list[dict]) -> list[dict]:
+    """Rows with a ``<key>_approx`` appended for each key exact in some row.
+
+    A value that is itself a list of rows gets its own companions.
+    """
+    keys = [k for k in rows[0] if any(_is_exact(row[k]) for row in rows)]
+    out = []
+    for row in rows:
+        row = {
+            k: _with_approx(v) if isinstance(v, list) and v and isinstance(v[0], dict) else v
+            for k, v in row.items()
+        }
+        row.update((f"{k}_approx", _approx(row[k])) for k in keys)
+        out.append(row)
+    return out
+
+
+def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> None:
+    """Print one result in format ``fmt``.
+
+    ``text`` holds lines, each a string or a tuple of parts; a rational
+    part takes a ``(~decimal)`` suffix under ``approx``.  ``obj`` is the
+    JSON object and ``rows`` (never empty) the CSV table.
+    """
+    if fmt == "text":
+        for line in text:
+            parts = (line,) if isinstance(line, str) else line
+            click.echo("".join(
+                f"{p} (~{approx_decimal(p)})" if approx and isinstance(p, Fraction) else _cell(p)
+                for p in parts
+            ))
+    elif fmt == "json":
+        click.echo(json.dumps(to_wire(_with_approx([obj])[0] if approx else obj), indent=2))
+    else:
+        if approx:
+            rows = _with_approx(rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+        click.echo(buf.getvalue(), nl=False)
+
+
+def _require_stable_tail(report: ThresholdReport) -> None:
+    if not report.stable_tail:
+        _fail(4, f"threshold {report.threshold} has no stable tail at horizon {report.horizon}")
+
+
+class _Main(click.Group):
+    """The command group; maps library errors to exit codes 2 and 4."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DomainError, SchemaError) as exc:
+            _fail(2, str(exc))
+        except HorizonError as exc:
+            _fail(4, str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="qhamming")
 def main() -> None:
     """Exact bound computations for quantum codes over m-level systems."""
@@ -103,45 +161,9 @@ def main() -> None:
 @_output_options
 def kraw(k: int, x: int, n: int, m: int, fmt: str, approx: bool) -> None:
     """Evaluate the degree-k Krawtchouk polynomial at x."""
-    try:
-        value = kraw_eval(k, x, KrawParams(n, m))
-    except DomainError as exc:
-        _fail(2, str(exc))
-    if fmt == "text":
-        click.echo(_scalar_text(value, approx))
-    elif fmt == "json":
-        payload = {"k": k, "x": x, "n": n, "m": m, "value": str(value)}
-        if approx:
-            payload["value_approx"] = approx_decimal(value)
-        _emit_json(payload)
-    else:
-        header = ["k", "x", "n", "m", "value"]
-        row = [k, x, n, m, str(value)]
-        if approx:
-            header.append("value_approx")
-            row.append(approx_decimal(value))
-        _emit_csv(header, [row])
-
-
-def _render_bound_text(ok_report, bound_report, n, m, S, approx) -> None:
-    click.echo(f"n={n} m={m} S={','.join(map(str, S))}")
-    if ok_report.ok:
-        click.echo("conditions: ok")
-    else:
-        click.echo("conditions: FAILED")
-        if not ok_report.cond1_ok:
-            where = ",".join(map(str, ok_report.cond1_violations))
-            click.echo(f"  coefficient sign condition violated at t={where}")
-        if not ok_report.cond2_ok:
-            where = ",".join(map(str, ok_report.cond2_violations))
-            click.echo(f"  value sign condition violated at t={where}")
-        return
-    click.echo(f"bound = {_scalar_text(bound_report.bound, approx)}")
-    click.echo(f"bound_floor = {bound_report.bound_floor}")
-    click.echo(f"argmax_t = {bound_report.argmax_t}")
-    click.echo("ratios:")
-    for t, ratio in bound_report.ratios:
-        click.echo(f"  t={t}: {_scalar_text(ratio, approx)}")
+    value = Fraction(kraw_eval(k, x, KrawParams(n, m)))
+    row = {"k": k, "x": x, "n": n, "m": m, "value": value}
+    _emit(fmt, approx, [(value,)], row, [row])
 
 
 @main.command()
@@ -152,106 +174,60 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
 
     WITNESS_FILE is JSON: {"n", "m", "S", "coeffs"}.
     """
-    doc = _load_json_file(witness_file)
-    try:
-        poly, S = witness_from_dict(doc)
-    except SchemaError as exc:
-        _fail(2, str(exc))
+    poly, S = witness_from_dict(_load_json_file(witness_file))
     try:
         report = dimension_bound(poly, S)
         cond = ConditionReport(S, True, (), True, ())
     except ConditionError as exc:
         report, cond = None, exc.report
-
-    if fmt == "text":
-        _render_bound_text(cond, report, poly.params.n, poly.params.m, S, approx)
-    elif fmt == "json":
-        payload = {
-            "n": poly.params.n,
-            "m": poly.params.m,
-            "S": list(S),
-            "conditions_ok": cond.ok,
-            "cond1_ok": cond.cond1_ok,
-            "cond1_violations": list(cond.cond1_violations),
-            "cond2_ok": cond.cond2_ok,
-            "cond2_violations": list(cond.cond2_violations),
-            "bound": None if report is None else format_rational(report.bound),
-            "bound_floor": None if report is None else report.bound_floor,
-            "argmax_t": None if report is None else report.argmax_t,
-            "ratios": None
-            if report is None
-            else [{"t": t, "ratio": format_rational(r)} for t, r in report.ratios],
-        }
-        if approx and report is not None:
-            payload["bound_approx"] = approx_decimal(report.bound)
-        _emit_json(payload)
+    text = [f"n={poly.params.n} m={poly.params.m} S={','.join(map(str, S))}"]
+    obj = {
+        "n": poly.params.n,
+        "m": poly.params.m,
+        "S": list(S),
+        "conditions_ok": cond.ok,
+        "cond1_ok": cond.cond1_ok,
+        "cond1_violations": list(cond.cond1_violations),
+        "cond2_ok": cond.cond2_ok,
+        "cond2_violations": list(cond.cond2_violations),
+        "bound": None,
+        "bound_floor": None,
+        "argmax_t": None,
+        "ratios": None,
+    }
+    if report is None:
+        text.append("conditions: FAILED")
+        if not cond.cond1_ok:
+            where = ",".join(map(str, cond.cond1_violations))
+            text.append(f"  coefficient sign condition violated at t={where}")
+        if not cond.cond2_ok:
+            where = ",".join(map(str, cond.cond2_violations))
+            text.append(f"  value sign condition violated at t={where}")
+        rows = [{"violated_condition": "cond1", "t": t} for t in cond.cond1_violations]
+        rows += [{"violated_condition": "cond2", "t": t} for t in cond.cond2_violations]
     else:
-        if report is None:
-            rows = [["cond1", t] for t in cond.cond1_violations]
-            rows += [["cond2", t] for t in cond.cond2_violations]
-            _emit_csv(["violated_condition", "t"], rows)
-        else:
-            header = ["t", "coeff", "ratio", "bound", "bound_floor", "argmax_t"]
-            rows = [
-                [t, _csv_cell(Fraction(poly.coeffs[t])), _csv_cell(r),
-                 _csv_cell(report.bound), report.bound_floor, report.argmax_t]
-                for t, r in report.ratios
-            ]
-            if approx:
-                header += ["ratio_approx", "bound_approx"]
-                for row, (_, r) in zip(rows, report.ratios):
-                    row += [approx_decimal(r), approx_decimal(report.bound)]
-            _emit_csv(header, rows)
+        text += [
+            "conditions: ok",
+            ("bound = ", report.bound),
+            f"bound_floor = {report.bound_floor}",
+            f"argmax_t = {report.argmax_t}",
+            "ratios:",
+        ]
+        text += [(f"  t={t}: ", r) for t, r in report.ratios]
+        obj.update(
+            bound=report.bound,
+            bound_floor=report.bound_floor,
+            argmax_t=report.argmax_t,
+            ratios=[{"t": t, "ratio": str(r)} for t, r in report.ratios],
+        )
+        rows = [
+            {"t": t, "coeff": str(Fraction(poly.coeffs[t])), "ratio": r, "bound": report.bound,
+             "bound_floor": report.bound_floor, "argmax_t": report.argmax_t}
+            for t, r in report.ratios
+        ]
+    _emit(fmt, approx, text, obj, rows)
     if not cond.ok:
         sys.exit(3)
-
-
-def _threshold_note(report: ThresholdReport) -> str:
-    return (
-        f"scanned n in [{report.d}, {report.horizon}]; lengths beyond the "
-        "horizon are extrapolated, so the threshold is reliable only with "
-        "a stable tail"
-    )
-
-
-def _render_threshold_text(report: ThresholdReport, approx: bool) -> None:
-    click.echo(f"d={report.d} m={report.m} horizon={report.horizon}")
-    click.echo(f"threshold N = {report.threshold}")
-    click.echo(f"stable_tail = {'true' if report.stable_tail else 'false'}")
-    click.echo(f"note: {_threshold_note(report)}")
-    click.echo("   n  pass  argmax_t  bound  hamming_rhs")
-    for v in report.per_n:
-        arg = "-" if v.argmax_t is None else str(v.argmax_t)
-        b = "-" if v.bound is None else _scalar_text(v.bound, approx)
-        h = _scalar_text(v.hamming, approx)
-        click.echo(f"  {v.n:>3}  {'yes' if v.passed else 'NO':<4}  {arg:>8}  {b}  {h}")
-
-
-def _approx_or_none(value) -> Optional[str]:
-    return None if value is None else approx_decimal(value)
-
-
-def _threshold_json(report: ThresholdReport, approx: bool) -> dict:
-    payload = report.to_dict()
-    if approx:
-        for entry, v in zip(payload["per_n"], report.per_n):
-            entry["bound_approx"] = _approx_or_none(v.bound)
-            entry["hamming_rhs_approx"] = approx_decimal(v.hamming)
-    return payload
-
-
-def _threshold_csv(report: ThresholdReport, approx: bool) -> tuple[list[str], list[list]]:
-    header = ["n", "pass", "argmax_t", "bound", "hamming_rhs"]
-    rows = [
-        [v.n, _csv_cell(v.passed), _csv_cell(v.argmax_t), _csv_cell(v.bound),
-         _csv_cell(v.hamming)]
-        for v in report.per_n
-    ]
-    if approx:
-        header += ["bound_approx", "hamming_rhs_approx"]
-        for row, v in zip(rows, report.per_n):
-            row += [_csv_cell(_approx_or_none(v.bound)), approx_decimal(v.hamming)]
-    return header, rows
 
 
 @main.command()
@@ -262,21 +238,24 @@ def _threshold_csv(report: ThresholdReport, approx: bool) -> tuple[list[str], li
 @_output_options
 def threshold(d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
     """Find the least length N from which every scanned length passes."""
-    try:
-        report = find_threshold(d, m, horizon)
-    except DomainError as exc:
-        _fail(2, str(exc))
-    except HorizonError as exc:
-        _fail(4, str(exc))
-    if fmt == "text":
-        _render_threshold_text(report, approx)
-    elif fmt == "json":
-        _emit_json(_threshold_json(report, approx))
-    else:
-        header, rows = _threshold_csv(report, approx)
-        _emit_csv(header, rows)
-    if not report.stable_tail:
-        _fail(4, f"threshold {report.threshold} has no stable tail at horizon {report.horizon}")
+    report = find_threshold(d, m, horizon)
+    rows = [v.exact_dict() for v in report.per_n]
+    text = [
+        f"d={report.d} m={report.m} horizon={report.horizon}",
+        f"threshold N = {report.threshold}",
+        ("stable_tail = ", report.stable_tail),
+        f"note: scanned n in [{report.d}, {report.horizon}]; lengths beyond the horizon "
+        "are extrapolated, so the threshold is reliable only with a stable tail",
+        "   " + "  ".join(rows[0]),
+    ]
+    text += [
+        (f"  {v.n:>3}  {'yes' if v.passed else 'NO':<4}  "
+         f"{'-' if v.argmax_t is None else v.argmax_t:>8}  ",
+         "-" if v.bound is None else v.bound, "  ", v.hamming)
+        for v in report.per_n
+    ]
+    _emit(fmt, approx, text, report.exact_dict(), rows)
+    _require_stable_tail(report)
 
 
 @main.command()
@@ -289,44 +268,17 @@ def table1(max_d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -
     """Tabulate thresholds N(d, m) for odd distances d = 1, 3, ..., max-d."""
     if max_d < 1:
         _fail(2, f"--max-d must be >= 1, got {max_d}")
-    if m < 2:
-        _fail(2, f"--m must be >= 2, got {m}")
-    reports = []
-    try:
-        for d in range(1, max_d + 1, 2):
-            reports.append(find_threshold(d, m, horizon))
-    except DomainError as exc:
-        _fail(2, str(exc))
-    except HorizonError as exc:
-        _fail(4, str(exc))
-    if fmt == "text":
-        click.echo("d  N")
-        for rep in reports:
-            click.echo(f"{rep.d}  {rep.threshold}")
-        if m != 2:
-            click.echo(f"note: no published reference values for m={m}; computed by direct scan")
-    elif fmt == "json":
-        _emit_json(
-            {
-                "m": m,
-                "reference_values_published": m == 2,
-                "rows": [
-                    {
-                        "d": rep.d,
-                        "threshold": rep.threshold,
-                        "horizon": rep.horizon,
-                        "stable_tail": rep.stable_tail,
-                    }
-                    for rep in reports
-                ],
-            }
-        )
-    else:
-        rows = [
-            [rep.d, rep.threshold, rep.horizon, _csv_cell(rep.stable_tail)]
-            for rep in reports
-        ]
-        _emit_csv(["d", "threshold", "horizon", "stable_tail"], rows)
+    reports = [find_threshold(d, m, horizon) for d in range(1, max_d + 1, 2)]
+    rows = [
+        {"d": rep.d, "threshold": rep.threshold, "horizon": rep.horizon,
+         "stable_tail": rep.stable_tail}
+        for rep in reports
+    ]
+    text = ["d  N"] + [f"{rep.d}  {rep.threshold}" for rep in reports]
+    if m != 2:
+        text.append(f"note: no published reference values for m={m}; computed by direct scan")
+    obj = {"m": m, "reference_values_published": m == 2, "rows": rows}
+    _emit(fmt, approx, text, obj, rows)
     if any(not rep.stable_tail for rep in reports):
         _fail(4, "at least one distance lacks a stable tail; increase --horizon")
 
@@ -341,30 +293,12 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 
     DIST_FILE is JSON: {"n", "m", "K", "A"}.
     """
-    doc = _load_json_file(dist_file)
-    try:
-        dist = distribution_from_dict(doc)
-    except SchemaError as exc:
-        _fail(2, str(exc))
+    dist = distribution_from_dict(_load_json_file(dist_file))
     out = mw_forward(dist) if direction == "forward" else mw_inverse(dist)
-    if fmt == "text":
-        click.echo(f"n={out.params.n} m={out.params.m} K={format_rational(out.K)}")
-        for i, a in enumerate(out.entries):
-            click.echo(f"  A[{i}] = {_scalar_text(a, approx)}")
-    elif fmt == "json":
-        payload = distribution_to_dict(out)
-        if approx:
-            payload["K_approx"] = approx_decimal(out.K)
-            payload["A_approx"] = [approx_decimal(a) for a in out.entries]
-        _emit_json(payload)
-    else:
-        header = ["i", "value"]
-        rows = [[i, _csv_cell(a)] for i, a in enumerate(out.entries)]
-        if approx:
-            header.append("value_approx")
-            for row, a in zip(rows, out.entries):
-                row.append(approx_decimal(a))
-        _emit_csv(header, rows)
+    text = [f"n={out.params.n} m={out.params.m} K={out.K}"]
+    text += [(f"  A[{i}] = ", a) for i, a in enumerate(out.entries)]
+    rows = [{"i": i, "value": a} for i, a in enumerate(out.entries)]
+    _emit(fmt, approx, text, out.exact_dict(), rows)
 
 
 @main.command()
@@ -377,71 +311,41 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 @_output_options
 def check(n: int, dim: str, d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
     """Test parameters (n, K, d, m) against the Hamming and Singleton bounds."""
-    try:
-        K = parse_rational(dim)
-    except SchemaError as exc:
-        _fail(2, str(exc))
+    K = parse_rational(dim)
     if K <= 0:
         _fail(2, f"--K must be positive, got {dim}")
-    try:
-        h = hamming_rhs(n, d, m)
-        s = singleton_rhs(n, d, m)
-        report = find_threshold(d, m, horizon)
-    except DomainError as exc:
-        _fail(2, str(exc))
-    except HorizonError as exc:
-        _fail(4, str(exc))
+    h = hamming_rhs(n, d, m)
+    s = singleton_rhs(n, d, m)
+    report = find_threshold(d, m, horizon)
     beyond = n >= report.threshold
-    if fmt == "text":
-        click.echo(f"n={n} K={format_rational(K)} d={d} m={m}")
-        click.echo(f"hamming_rhs = {_scalar_text(h, approx)}")
-        click.echo(f"hamming: {_verdict_word(K, h)}")
-        click.echo(f"singleton_rhs = {_scalar_text(s, approx)}")
-        click.echo(f"singleton: {_verdict_word(K, s)}")
-        click.echo(
-            f"threshold N = {report.threshold} "
-            f"(horizon={report.horizon}, stable_tail={'true' if report.stable_tail else 'false'})"
-        )
-        if beyond:
-            click.echo("n >= N: yes; the hamming bound applies to every code at this length")
-        else:
-            click.echo("n >= N: no; below the threshold only the singleton bound is unconditional")
-    elif fmt == "json":
-        payload = {
-            "n": n,
-            "K": format_rational(K),
-            "d": d,
-            "m": m,
-            "hamming_rhs": format_rational(h),
-            "hamming_satisfied": K <= h,
-            "hamming_equality": K == h,
-            "singleton_rhs": format_rational(s),
-            "singleton_satisfied": K <= s,
-            "singleton_equality": K == s,
-            "threshold": report.threshold,
-            "horizon": report.horizon,
-            "stable_tail": report.stable_tail,
-            "n_at_or_beyond_threshold": beyond,
-        }
-        if approx:
-            payload["hamming_rhs_approx"] = approx_decimal(h)
-            payload["singleton_rhs_approx"] = approx_decimal(s)
-        _emit_json(payload)
-    else:
-        header = [
-            "n", "K", "d", "m", "hamming_rhs", "hamming_satisfied", "hamming_equality",
-            "singleton_rhs", "singleton_satisfied", "singleton_equality",
-            "threshold", "horizon", "stable_tail", "n_at_or_beyond_threshold",
-        ]
-        row = [
-            n, format_rational(K), d, m, _csv_cell(h), _csv_cell(K <= h), _csv_cell(K == h),
-            _csv_cell(s), _csv_cell(K <= s), _csv_cell(K == s),
-            report.threshold, report.horizon, _csv_cell(report.stable_tail), _csv_cell(beyond),
-        ]
-        if approx:
-            header += ["hamming_rhs_approx", "singleton_rhs_approx"]
-            row += [approx_decimal(h), approx_decimal(s)]
-        _emit_csv(header, [row])
+    row = {
+        "n": n,
+        "K": str(K),
+        "d": d,
+        "m": m,
+        "hamming_rhs": h,
+        "hamming_satisfied": K <= h,
+        "hamming_equality": K == h,
+        "singleton_rhs": s,
+        "singleton_satisfied": K <= s,
+        "singleton_equality": K == s,
+        "threshold": report.threshold,
+        "horizon": report.horizon,
+        "stable_tail": report.stable_tail,
+        "n_at_or_beyond_threshold": beyond,
+    }
+    text = [
+        f"n={n} K={K} d={d} m={m}",
+        ("hamming_rhs = ", h),
+        f"hamming: {_verdict_word(K, h)}",
+        ("singleton_rhs = ", s),
+        f"singleton: {_verdict_word(K, s)}",
+        (f"threshold N = {report.threshold} (horizon={report.horizon}, stable_tail=",
+         report.stable_tail, ")"),
+        "n >= N: yes; the hamming bound applies to every code at this length" if beyond
+        else "n >= N: no; below the threshold only the singleton bound is unconditional",
+    ]
+    _emit(fmt, approx, text, row, [row])
 
 
 def _verdict_word(K: Fraction, rhs: Fraction) -> str:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .exceptions import DomainError, SchemaError
 from .krawtchouk import ExactScalar, KrawParams, kraw_table
-from .rational import format_rational, parse_rational
+from .rational import check_document, is_array, parse_rational, to_wire
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class WeightDistribution:
     @property
     def is_nonnegative(self) -> bool:
         return all(a >= 0 for a in self.entries)
+
+    def exact_dict(self) -> dict:
+        """The wire document with exact values; ``distribution_to_dict`` renders it."""
+        return {"n": self.params.n, "m": self.params.m, "K": self.K, "A": list(self.entries)}
 
 
 def make_distribution(
@@ -111,26 +115,12 @@ def check_purity_window(
 
 
 def distribution_to_dict(dist: WeightDistribution) -> dict:
-    return {
-        "n": dist.params.n,
-        "m": dist.params.m,
-        "K": format_rational(dist.K),
-        "A": [format_rational(a) for a in dist.entries],
-    }
+    return to_wire(dist.exact_dict())
 
 
 def distribution_from_dict(doc: Mapping) -> WeightDistribution:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("distribution document must be a JSON object")
-    for key in ("n", "m", "K", "A"):
-        if key not in doc:
-            raise SchemaError(f"distribution document missing {key!r}")
-    n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SchemaError("field 'n' must be an integer")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise SchemaError("field 'm' must be an integer")
-    if not isinstance(doc["A"], Sequence) or isinstance(doc["A"], (str, bytes)):
+    n, m = check_document(doc, "distribution", ("K", "A"))
+    if not is_array(doc["A"]):
         raise SchemaError("field 'A' must be an array of rational strings")
     K = parse_rational(doc["K"])
     entries = tuple(parse_rational(a) for a in doc["A"])

@@ -52,7 +52,7 @@ from .exceptions import DomainError, HorizonError
 from .krawtchouk import KrawParams, binomial, kraw_partial_sum, kraw_recurrence
 from .linearization import linearization_terms
 from .lp_bound import KBasisPoly
-from .rational import format_rational
+from .rational import to_wire
 
 
 @dataclass(frozen=True)
@@ -169,14 +169,18 @@ class NVerdict:
     bound: Optional[Fraction]
     hamming: Fraction
 
-    def to_dict(self) -> dict:
+    def exact_dict(self) -> dict:
+        """The ``per_n`` entry with exact values; ``to_dict`` renders it."""
         return {
             "n": self.n,
             "pass": self.passed,
             "argmax_t": self.argmax_t,
-            "bound": None if self.bound is None else format_rational(self.bound),
-            "hamming_rhs": format_rational(self.hamming),
+            "bound": self.bound,
+            "hamming_rhs": self.hamming,
         }
+
+    def to_dict(self) -> dict:
+        return to_wire(self.exact_dict())
 
 
 def check_n(n: int, d: int, m: int) -> NVerdict:
@@ -219,15 +223,19 @@ class ThresholdReport:
     stable_tail: bool
     per_n: tuple[NVerdict, ...]
 
-    def to_dict(self) -> dict:
+    def exact_dict(self) -> dict:
+        """The JSON report with exact values; ``to_dict`` renders it."""
         return {
             "d": self.d,
             "m": self.m,
             "horizon": self.horizon,
             "threshold": self.threshold,
             "stable_tail": self.stable_tail,
-            "per_n": [v.to_dict() for v in self.per_n],
+            "per_n": [v.exact_dict() for v in self.per_n],
         }
+
+    def to_dict(self) -> dict:
+        return to_wire(self.exact_dict())
 
 
 def default_horizon(d: int) -> int:

@@ -9,11 +9,12 @@ degree-k polynomial evaluated at an integer point x in {0..n} is
 
 and every value is an exact (arbitrary-precision) integer.
 
-All functions are pure.  ``kraw_table`` memoizes the full (n+1)^2 value
-table per (n, m) for the generic witness engine (``lp_bound``) and the
-orthogonality routes.  The threshold scan never touches that cache: it
-runs the degree recurrence at the few points it needs through
-``kraw_recurrence``.
+All functions are pure.  ``kraw_table`` builds the full (n+1)^2 value
+table for the generic witness engine (``lp_bound``), the MacWilliams
+transforms and the orthogonality routes, and keeps only the few most
+recently used (n, m), so memory stays bounded over many lengths.  The
+threshold scan never touches that cache: it runs the degree recurrence
+at the few points it needs through ``kraw_recurrence``.
 """
 from __future__ import annotations
 
@@ -127,7 +128,9 @@ def kraw_recurrence(k_max: int, xs: Sequence[int], p: KrawParams) -> list[list[i
     return rows
 
 
-@lru_cache(maxsize=None)
+# Callers reuse a table right away (a transform and its inverse on one
+# (n, m), or the values of one witness), so a few entries suffice.
+@lru_cache(maxsize=4)
 def _kraw_table(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     rows = kraw_recurrence(n, range(n + 1), KrawParams(n, m))
     return tuple(tuple(row) for row in rows)

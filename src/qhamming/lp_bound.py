@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .exceptions import ConditionError, DomainError, SchemaError
 from .krawtchouk import ExactScalar, KrawParams, kraw_table
-from .rational import format_rational, parse_rational
+from .rational import check_document, format_rational, is_array, is_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,16 @@ def poly_eval(f: KBasisPoly, t: int) -> ExactScalar:
     n = f.params.n
     if not 0 <= t <= n:
         raise DomainError(f"point t must lie in [0, {n}], got {t}")
-    table = kraw_table(f.params)
+    return _basis_value(f, kraw_table(f.params), t)
+
+
+def _basis_value(f: KBasisPoly, table, t: int) -> ExactScalar:
     return sum(c * table[r][t] for r, c in enumerate(f.coeffs))
 
 
 def _poly_values(f: KBasisPoly) -> list[ExactScalar]:
     table = kraw_table(f.params)
-    n = f.params.n
-    return [
-        sum(c * table[r][t] for r, c in enumerate(f.coeffs)) for t in range(n + 1)
-    ]
+    return [_basis_value(f, table, t) for t in range(f.params.n + 1)]
 
 
 def _normalize_index_set(S: Iterable[int], n: int) -> tuple[int, ...]:
@@ -161,24 +161,11 @@ def witness_to_dict(f: KBasisPoly, S: Iterable[int]) -> dict:
 
 
 def witness_from_dict(doc: Mapping) -> tuple[KBasisPoly, tuple[int, ...]]:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("witness document must be a JSON object")
-    for key in ("n", "m", "S", "coeffs"):
-        if key not in doc:
-            raise SchemaError(f"witness document missing {key!r}")
-    n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SchemaError("field 'n' must be an integer")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise SchemaError("field 'm' must be an integer")
+    n, m = check_document(doc, "witness", ("S", "coeffs"))
     S = doc["S"]
-    if (
-        not isinstance(S, Sequence)
-        or isinstance(S, (str, bytes))
-        or not all(isinstance(t, int) and not isinstance(t, bool) for t in S)
-    ):
+    if not is_array(S) or not all(is_int(t) for t in S):
         raise SchemaError("field 'S' must be an array of integers")
-    if not isinstance(doc["coeffs"], Sequence) or isinstance(doc["coeffs"], (str, bytes)):
+    if not is_array(doc["coeffs"]):
         raise SchemaError("field 'coeffs' must be an array of rational strings")
     coeffs = tuple(parse_rational(c) for c in doc["coeffs"])
     try:

@@ -1,13 +1,15 @@
-"""Parsing and rendering of exact rational scalars.
+"""The JSON wire format: exact rational scalars and document checks.
 
-The wire format is a "rational string": either a plain (optionally
+A rational travels as a "rational string": either a plain (optionally
 signed) integer like ``"7"`` or a quotient like ``"256/109"``.  Parsing
 and printing round-trip exactly; printing always canonicalizes to
-lowest terms with a positive denominator.
+lowest terms with a positive denominator.  ``check_document`` holds the
+checks that the witness and distribution readers share.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -34,6 +36,44 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value) -> str:
     """Canonical rational string: ``"p/q"``, or ``"p"`` when q == 1."""
     return str(Fraction(value))
+
+
+def to_wire(value):
+    """``value`` with every ``Fraction``, also inside dicts and lists, as a rational string."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {k: to_wire(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [to_wire(v) for v in value]
+    return value
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_array(value) -> bool:
+    """A JSON array: a sequence that is not a string."""
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def check_document(doc, kind: str, keys: Sequence[str]) -> tuple[int, int]:
+    """Return ``(n, m)`` of a ``kind`` document.
+
+    Raises ``SchemaError`` unless ``doc`` is a JSON object with integer
+    fields ``n`` and ``m`` and a field for every name in ``keys``.
+    """
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{kind} document must be a JSON object")
+    for key in ("n", "m", *keys):
+        if key not in doc:
+            raise SchemaError(f"{kind} document missing {key!r}")
+    for key in ("n", "m"):
+        if not is_int(doc[key]):
+            raise SchemaError(f"field {key!r} must be an integer")
+    return doc["n"], doc["m"]
 
 
 def approx_decimal(value, digits: int = 12) -> str:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhamming.enumerators import make_distribution, mw_forward
 from qhamming.exceptions import DomainError
 from qhamming.krawtchouk import (
     KrawParams,
+    _kraw_table,
     binomial,
     kraw_eval,
     kraw_partial_sum,
@@ -181,3 +183,10 @@ def test_partial_sum_shifted_identity_random(n, m, data):
     assert kraw_partial_sum(e, x, KrawParams(n, m)) == kraw_eval(
         e, x - 1, KrawParams(n - 1, m)
     )
+
+
+def test_table_cache_stays_bounded():
+    maxsize = _kraw_table.cache_parameters()["maxsize"]
+    for n in range(1, maxsize + 4):
+        mw_forward(make_distribution(n, 2, 1, [1] + [0] * n))
+    assert _kraw_table.cache_info().currsize <= maxsize

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhamming.enumerators import distribution_from_dict
 from qhamming.exceptions import ConditionError, DomainError, SchemaError
 from qhamming.krawtchouk import KrawParams, kraw_table
 from qhamming.lp_bound import (
@@ -186,3 +187,28 @@ def test_witness_json_round_trip():
 def test_witness_schema_errors(doc):
     with pytest.raises(SchemaError):
         witness_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (witness_from_dict, "nope", "witness document must be a JSON object"),
+        (witness_from_dict, {"n": 2, "m": 2, "S": [0]}, "witness document missing 'coeffs'"),
+        (witness_from_dict, {"n": 2, "m": True, "S": [0], "coeffs": []},
+         "field 'm' must be an integer"),
+        (witness_from_dict, {"n": 2, "m": 2, "S": "0", "coeffs": []},
+         "field 'S' must be an array of integers"),
+        (witness_from_dict, {"n": 2, "m": 2, "S": [0], "coeffs": "1"},
+         "field 'coeffs' must be an array of rational strings"),
+        (distribution_from_dict, [], "distribution document must be a JSON object"),
+        (distribution_from_dict, {"n": 2, "m": 2, "A": []}, "distribution document missing 'K'"),
+        (distribution_from_dict, {"n": 2.0, "m": 2, "K": "1", "A": []},
+         "field 'n' must be an integer"),
+        (distribution_from_dict, {"n": 2, "m": 2, "K": "1", "A": b"1"},
+         "field 'A' must be an array of rational strings"),
+    ],
+)
+def test_reader_schema_messages(read, doc, message):
+    with pytest.raises(SchemaError) as info:
+        read(doc)
+    assert str(info.value) == message
