@@ -346,6 +346,7 @@ def check(n: int, dim: str, d: int, m: int, horizon: Optional[int], fmt: str, ap
         else "n >= N: no; below the threshold only the singleton bound is unconditional",
     ]
     _emit(fmt, approx, text, row, [row])
+    _require_stable_tail(report)
 
 
 def _verdict_word(K: Fraction, rhs: Fraction) -> str:

@@ -363,6 +363,17 @@ def test_check_csv_approx_adds_columns(runner):
     assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain)))
 
 
+def test_check_unstable_tail_exits_4_with_report(runner):
+    # d=7 first passes at n=14, so horizon 14 leaves no stable tail; the
+    # report still prints, and n >= N must not be trusted.
+    result = runner.invoke(
+        main, ["check", "--n", "20", "--K", "2", "--d", "7", "--m", "2", "--horizon", "14"]
+    )
+    assert result.exit_code == 4
+    assert "threshold N = 14 (horizon=14, stable_tail=false)" in result.stdout
+    assert result.stderr == "error: threshold 14 has no stable tail at horizon 14\n"
+
+
 def test_check_bad_dimension_exits_2(runner):
     result = runner.invoke(main, ["check", "--n", "5", "--K", "x", "--d", "3", "--m", "2"])
     assert result.exit_code == 2
