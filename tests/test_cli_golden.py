@@ -8,7 +8,6 @@ stderr.  Regenerate the file only for an intended output change:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 import json
-import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -110,4 +109,3 @@ if __name__ == "__main__":
         entries = [run(args, Path(tmp)) for args in GRID]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    sys.exit(0)
