@@ -11,7 +11,9 @@ In coefficient form the two directions are
     forward:  A'_i = (K / m^n)     * sum_r A_r  P_i(r)
     inverse:  A_r  = (1 / (K m^n)) * sum_i A'_i P_r(i)
 
-and they are exact mutual inverses.  Distributions of actual codes are
+and they are exact mutual inverses.  Both put the entries over one
+common denominator, take each sum as an integer dot product, and build
+one ``Fraction`` per output entry.  Distributions of actual codes are
 entrywise nonnegative and agree with their duals on every index below
 the minimum distance; neither fact is enforced here (transform outputs
 of arbitrary inputs can be negative), but both can be queried.
@@ -24,7 +26,9 @@ from typing import Mapping, Sequence
 
 from .exceptions import DomainError, SchemaError
 from .krawtchouk import ExactScalar, KrawParams, kraw_table
-from .rational import check_document, is_array, parse_rational, to_wire
+from .rational import (
+    check_document, common_denominator, integer_dots, is_array, parse_rational, to_wire,
+)
 
 
 @dataclass(frozen=True)
@@ -63,26 +67,22 @@ def make_distribution(
 
 def mw_forward(dist: WeightDistribution) -> WeightDistribution:
     """Dual distribution A'_i = (K/m^n) sum_r A_r P_i(r)."""
-    p = dist.params
-    table = kraw_table(p)
-    scale = Fraction(dist.K, p.m**p.n)
-    dual = tuple(
-        scale * sum(a * v for a, v in zip(dist.entries, table[i]))
-        for i in range(p.n + 1)
-    )
-    return WeightDistribution(p, dist.K, dual)
+    return _transform(dist, Fraction(dist.K, dist.params.m**dist.params.n))
 
 
 def mw_inverse(dual: WeightDistribution) -> WeightDistribution:
     """Primal distribution A_r = (1/(K m^n)) sum_i A'_i P_r(i)."""
-    p = dual.params
-    table = kraw_table(p)
-    scale = 1 / (dual.K * p.m**p.n)
-    entries = tuple(
-        scale * sum(a * v for a, v in zip(dual.entries, table[r]))
-        for r in range(p.n + 1)
+    return _transform(dual, Fraction(1, dual.K * dual.params.m**dual.params.n))
+
+
+def _transform(dist: WeightDistribution, scale: Fraction) -> WeightDistribution:
+    """Entries scale * sum_j A_j P_i(j) for i = 0..n."""
+    ints, L = common_denominator(dist.entries)
+    den = scale.denominator * L
+    sums = integer_dots(ints, kraw_table(dist.params))
+    return WeightDistribution(
+        dist.params, dist.K, tuple(Fraction(scale.numerator * s, den) for s in sums)
     )
-    return WeightDistribution(p, dual.K, entries)
 
 
 @dataclass(frozen=True)

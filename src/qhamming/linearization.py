@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .exceptions import DomainError
 from .krawtchouk import ExactScalar, KrawParams, binomial, kraw_table
+from .rational import common_denominator, integer_dots
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,13 @@ def linearize_product(i: int, j: int, p: KrawParams) -> LinearizationRow:
 def kbasis_extract(values: Sequence[ExactScalar], p: KrawParams) -> tuple[Fraction, ...]:
     """Coefficients f_0..f_n with sum_r f_r P_r(t) = values[t] for all t.
 
-    Computed as f_k = q^(-n) sum_t values[t] P_t(k); the expansion is
-    unique because the value matrix squares to q^n times the identity.
+    Computed as f_k = q^(-n) sum_t values[t] P_t(k) over the values'
+    common denominator L; the expansion is unique because the value
+    matrix squares to q^n times the identity.
     """
     n = p.n
     if len(values) != n + 1:
         raise DomainError(f"expected {n + 1} values, got {len(values)}")
-    table = kraw_table(p)
-    scale = p.q**n
-    coeffs = []
-    for k in range(n + 1):
-        acc = sum(values[t] * table[t][k] for t in range(n + 1))
-        coeffs.append(Fraction(acc) / scale)
-    return tuple(coeffs)
+    ints, L = common_denominator(values)
+    den = p.q**n * L
+    return tuple(Fraction(s, den) for s in integer_dots(ints, zip(*kraw_table(p))))

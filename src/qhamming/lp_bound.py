@@ -11,6 +11,10 @@ on S satisfies
 
     K <= (1/m^n) max_{t in S} f(t) / f_t.
 
+Values are integer dot products: over the coefficients' common
+denominator L > 0, L f(t) and L f_t are integers, both conditions read
+their signs, and each ratio is one ``Fraction`` of the two (L cancels).
+
 ``check_conditions`` reports every violation; ``dimension_bound``
 refuses to produce a number unless both conditions hold, because the
 conclusion is only valid under the hypotheses.  Callers that pick
@@ -25,8 +29,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exceptions import ConditionError, DomainError, SchemaError
-from .krawtchouk import ExactScalar, KrawParams, kraw_table
-from .rational import check_document, format_rational, is_array, is_int, parse_rational
+from .krawtchouk import ExactScalar, KrawParams, kraw_recurrence, kraw_table
+from .rational import (
+    check_document, common_denominator, format_rational, integer_dots, is_array, is_int,
+    parse_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -65,20 +72,20 @@ class BoundReport:
 
 
 def poly_eval(f: KBasisPoly, t: int) -> ExactScalar:
-    """f(t) = sum_r f_r P_r(t)."""
+    """f(t) = sum_r f_r P_r(t): an ``int`` when every f_r is one, else a ``Fraction``."""
     n = f.params.n
     if not 0 <= t <= n:
         raise DomainError(f"point t must lie in [0, {n}], got {t}")
-    return _basis_value(f, kraw_table(f.params), t)
+    column = [row[0] for row in kraw_recurrence(n, [t], f.params)]
+    ints, L = common_denominator(f.coeffs)
+    [value] = integer_dots(ints, [column])
+    return value if all(isinstance(c, int) for c in f.coeffs) else Fraction(value, L)
 
 
-def _basis_value(f: KBasisPoly, table, t: int) -> ExactScalar:
-    return sum(c * table[r][t] for r, c in enumerate(f.coeffs))
-
-
-def _poly_values(f: KBasisPoly) -> list[ExactScalar]:
-    table = kraw_table(f.params)
-    return [_basis_value(f, table, t) for t in range(f.params.n + 1)]
+def _poly_values(f: KBasisPoly) -> tuple[list[int], list[int]]:
+    """L * f(t) for t = 0..n and L * f_r for r = 0..n, with L > 0."""
+    ints, _ = common_denominator(f.coeffs)
+    return integer_dots(ints, zip(*kraw_table(f.params))), ints
 
 
 def _normalize_index_set(S: Iterable[int], n: int) -> tuple[int, ...]:
@@ -91,17 +98,11 @@ def _normalize_index_set(S: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _conditions(
-    f: KBasisPoly, S: tuple[int, ...], values: Sequence[ExactScalar]
+    S: tuple[int, ...], values: Sequence[int], coeffs: Sequence[int]
 ) -> ConditionReport:
     in_S = set(S)
-    cond1_viol = []
-    for t, c in enumerate(f.coeffs):
-        if t in in_S:
-            if not c > 0:
-                cond1_viol.append(t)
-        elif c < 0:
-            cond1_viol.append(t)
-    cond2_viol = [t for t in range(f.params.n + 1) if t not in in_S and values[t] > 0]
+    cond1_viol = [t for t, c in enumerate(coeffs) if (c <= 0 if t in in_S else c < 0)]
+    cond2_viol = [t for t, v in enumerate(values) if t not in in_S and v > 0]
     return ConditionReport(
         index_set=S,
         cond1_ok=not cond1_viol,
@@ -114,7 +115,7 @@ def _conditions(
 def check_conditions(f: KBasisPoly, S: Iterable[int]) -> ConditionReport:
     """Check both sign conditions, listing every violating index."""
     indices = _normalize_index_set(S, f.params.n)
-    return _conditions(f, indices, _poly_values(f))
+    return _conditions(indices, *_poly_values(f))
 
 
 def dimension_bound(f: KBasisPoly, S: Iterable[int]) -> BoundReport:
@@ -125,17 +126,12 @@ def dimension_bound(f: KBasisPoly, S: Iterable[int]) -> BoundReport:
     report is deterministic; the bound itself is tie-independent.
     """
     indices = _normalize_index_set(S, f.params.n)
-    values = _poly_values(f)
-    report = _conditions(f, indices, values)
+    values, coeffs = _poly_values(f)
+    report = _conditions(indices, values, coeffs)
     if not report.ok:
         raise ConditionError(report)
-    ratios = tuple(
-        (t, Fraction(values[t]) / Fraction(f.coeffs[t])) for t in indices
-    )
-    best_t, best = ratios[0]
-    for t, r in ratios[1:]:
-        if r > best:
-            best_t, best = t, r
+    ratios = tuple((t, Fraction(values[t], coeffs[t])) for t in indices)
+    best_t, best = max(ratios, key=lambda tr: tr[1])  # the first of equal maxima
     p = f.params
     bound = best / p.m**p.n
     return BoundReport(

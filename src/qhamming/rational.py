@@ -4,14 +4,17 @@ A rational travels as a "rational string": either a plain (optionally
 signed) integer like ``"7"`` or a quotient like ``"256/109"``.  Parsing
 and printing round-trip exactly; printing always canonicalizes to
 lowest terms with a positive denominator.  ``check_document`` holds the
-checks that the witness and distribution readers share.
+checks that the witness and distribution readers share, and
+``common_denominator`` with ``integer_dots`` every Krawtchouk-basis sum.
 """
 from __future__ import annotations
 
+import math
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import mul
 
 from .exceptions import SchemaError
 
@@ -47,6 +50,17 @@ def to_wire(value):
     if isinstance(value, list):
         return [to_wire(v) for v in value]
     return value
+
+
+def common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """``(ints, L)``: L is the lcm of the denominators and ``ints[i] == values[i] * L``."""
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def integer_dots(ints: Sequence[int], rows: Iterable[Sequence[int]]) -> list[int]:
+    """``sum_j ints[j] * row[j]`` for each row, in integers."""
+    return [sum(map(mul, ints, row)) for row in rows]
 
 
 def is_int(value) -> bool:

@@ -1,0 +1,264 @@
+"""The integer basis-sum kernel against the term-by-term ``Fraction`` sums.
+
+``mw_forward``, ``mw_inverse``, ``check_conditions``, ``dimension_bound``,
+``poly_eval`` and ``kbasis_extract`` put their inputs over one common
+denominator and sum in integers.  The oracles below add ``Fraction``
+terms one at a time, as the engine once did; every output must equal
+theirs in value and in type.
+"""
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qhamming.enumerators import WeightDistribution, mw_forward, mw_inverse
+from qhamming.exceptions import ConditionError
+from qhamming.hamming_witness import WitnessSpec, witness_coeffs
+from qhamming.krawtchouk import KrawParams, kraw_table
+from qhamming.linearization import kbasis_extract
+from qhamming.lp_bound import (
+    BoundReport,
+    ConditionReport,
+    KBasisPoly,
+    check_conditions,
+    dimension_bound,
+    poly_eval,
+)
+from qhamming.rational import common_denominator, integer_dots
+
+# --- term-by-term oracles ---------------------------------------------
+
+
+def oracle_mw_forward(dist):
+    p = dist.params
+    table = kraw_table(p)
+    scale = Fraction(dist.K, p.m**p.n)
+    return tuple(
+        scale * sum(a * v for a, v in zip(dist.entries, table[i]))
+        for i in range(p.n + 1)
+    )
+
+
+def oracle_mw_inverse(dual):
+    p = dual.params
+    table = kraw_table(p)
+    scale = 1 / (dual.K * p.m**p.n)
+    return tuple(
+        scale * sum(a * v for a, v in zip(dual.entries, table[r]))
+        for r in range(p.n + 1)
+    )
+
+
+def oracle_poly_values(f):
+    table = kraw_table(f.params)
+    return [
+        sum(c * table[r][t] for r, c in enumerate(f.coeffs))
+        for t in range(f.params.n + 1)
+    ]
+
+
+def oracle_kbasis_extract(values, p):
+    table = kraw_table(p)
+    scale = p.q**p.n
+    return tuple(
+        Fraction(sum(values[t] * table[t][k] for t in range(p.n + 1))) / scale
+        for k in range(p.n + 1)
+    )
+
+
+def oracle_reports(f, S):
+    """``(ConditionReport, BoundReport or None)`` by the term-by-term route."""
+    S = tuple(sorted(set(S)))
+    values = oracle_poly_values(f)
+    cond1 = [
+        t for t, c in enumerate(f.coeffs) if (not c > 0 if t in S else c < 0)
+    ]
+    cond2 = [t for t in range(f.params.n + 1) if t not in S and values[t] > 0]
+    cond = ConditionReport(S, not cond1, tuple(cond1), not cond2, tuple(cond2))
+    if not cond.ok:
+        return cond, None
+    ratios = tuple((t, Fraction(values[t]) / Fraction(f.coeffs[t])) for t in S)
+    best_t, best = ratios[0]
+    for t, r in ratios[1:]:
+        if r > best:
+            best_t, best = t, r
+    bound = best / f.params.m**f.params.n
+    return cond, BoundReport(bound, math.floor(bound), best_t, ratios)
+
+
+# --- comparisons -------------------------------------------------------
+
+
+def assert_same(got, want):
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def assert_mw_matches(dist):
+    fwd, inv = mw_forward(dist), mw_inverse(dist)
+    assert (fwd.params, fwd.K, inv.params, inv.K) == (dist.params, dist.K) * 2
+    assert_same(fwd.entries, oracle_mw_forward(dist))
+    assert_same(inv.entries, oracle_mw_inverse(dist))
+
+
+def assert_witness_matches(f, S, points=None):
+    cond, bound = oracle_reports(f, S)
+    assert check_conditions(f, S) == cond
+    if bound is None:
+        with pytest.raises(ConditionError) as info:
+            dimension_bound(f, S)
+        assert info.value.report == cond
+    else:
+        got = dimension_bound(f, S)
+        assert got == bound
+        assert type(got.bound) is Fraction and type(got.bound_floor) is int
+        assert all(type(r) is Fraction for _, r in got.ratios)
+    values = oracle_poly_values(f)
+    for t in range(f.params.n + 1) if points is None else points:
+        got = poly_eval(f, t)
+        assert got == values[t] and type(got) is type(values[t]), t
+
+
+# --- inputs ------------------------------------------------------------
+
+
+def mixed_scalar(rng, positive=False):
+    """An ``int``, a ``Fraction`` (also with denominator 1), zero or negative."""
+    kind = rng.randrange(5)
+    if kind == 0 and not positive:
+        return 0
+    if kind == 1:
+        return rng.randint(1, 9) if positive else rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(1, 9))
+    num = rng.randint(1, 60) if positive else rng.randint(-60, 60)
+    return Fraction(num, rng.randint(1, 40))
+
+
+def scaled_witness(d, p, lam):
+    """The squared partial sum times ``lam``, integral entries kept as ``int``."""
+    coeffs = [c * lam for c in witness_coeffs(WitnessSpec(d, p)).coeffs]
+    return KBasisPoly(p, tuple(int(c) if c.denominator == 1 else c for c in coeffs))
+
+
+def witnesses(rng, p):
+    """Valid and invalid witnesses with their index sets."""
+    n = p.n
+    d = rng.randint(1, n)
+    spec = WitnessSpec(d, p)
+    S = spec.index_set
+    yield witness_coeffs(spec), S  # all int
+    yield scaled_witness(d, p, Fraction(rng.randint(1, 9), rng.randint(1, 9))), S
+    full = tuple(range(n + 1))
+    yield KBasisPoly(p, tuple(mixed_scalar(rng, positive=True) for _ in full)), full
+    mixed = KBasisPoly(p, tuple(mixed_scalar(rng) for _ in full))
+    yield mixed, rng.sample(full, rng.randint(1, n + 1))
+
+
+# --- common_denominator -------------------------------------------------
+
+
+def test_common_denominator_all_int():
+    ints, L = common_denominator([3, -4, 0, 7])
+    assert (ints, L) == ([3, -4, 0, 7], 1)
+    assert all(type(v) is int for v in ints)
+
+
+def test_common_denominator_single_value():
+    assert common_denominator([Fraction(5, 7)]) == ([5], 7)
+    assert common_denominator([Fraction(-6)]) == ([-6], 1)
+
+
+def test_common_denominator_negative_values():
+    assert common_denominator([Fraction(-1, 2), Fraction(2, 3), -4]) == ([-3, 4, -24], 6)
+
+
+def test_common_denominator_is_lcm_not_product():
+    values = [Fraction(1, 6), Fraction(1, 4), Fraction(3, 10)]
+    ints, L = common_denominator(values)
+    assert L == 60
+    assert ints == [10, 15, 18]
+    assert [Fraction(v, L) for v in ints] == values
+
+
+def test_integer_dots():
+    assert integer_dots([1, -2, 3], [(1, 1, 1), (0, 5, -1), (2, 0, 0)]) == [2, -13, 2]
+
+
+# --- Tier-1 grid --------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_integer_sums_match_oracles_on_grid(m):
+    rng = random.Random(m)
+    for n in range(1, 31):
+        p = KrawParams(n, m)
+        K = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        entries = tuple(mixed_scalar(rng) for _ in range(n + 1))
+        assert_mw_matches(WeightDistribution(p, K, entries))
+        assert_same(kbasis_extract(entries, p), oracle_kbasis_extract(entries, p))
+        for f, S in witnesses(rng, p):
+            assert_witness_matches(f, S)
+
+
+def test_round_trip_on_grid():
+    rng = random.Random(7)
+    for m in (2, 3, 4, 5):
+        for n in range(1, 31):
+            dist = WeightDistribution(
+                KrawParams(n, m),
+                Fraction(rng.randint(1, 30), rng.randint(1, 30)),
+                tuple(Fraction(mixed_scalar(rng)) for _ in range(n + 1)),
+            )
+            assert mw_inverse(mw_forward(dist)) == dist
+            assert mw_forward(mw_inverse(dist)) == dist
+
+
+# --- property -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    m=st.integers(min_value=2, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_integer_sums_match_oracles_property(n, m, seed):
+    rng = random.Random(seed)
+    p = KrawParams(n, m)
+    K = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+    entries = tuple(mixed_scalar(rng) for _ in range(n + 1))
+    dist = WeightDistribution(p, K, entries)
+    assert_mw_matches(dist)
+    assert mw_inverse(mw_forward(dist)).entries == entries
+    for f, S in witnesses(rng, p):
+        assert_witness_matches(f, S)
+
+
+# --- the benchmark's sizes ------------------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_integer_sums_match_oracles_at_benchmark_sizes(m):
+    """n 20..121 as in the ``witness-files`` documents: e 1..4, rational scales."""
+    rng = random.Random(100 + m)
+    for n in range(20, 122):
+        p = KrawParams(n, m)
+        if n % 2:
+            K = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            entries = tuple(
+                Fraction(rng.randint(0, 10**6), rng.randint(1, 10**3)) for _ in range(n + 1)
+            )
+            dist = WeightDistribution(p, K, entries)
+            assert_mw_matches(dist)
+            assert mw_inverse(mw_forward(dist)) == dist
+        else:
+            e = 1 + n % 4
+            lam = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            f = scaled_witness(2 * e + 1, p, lam)
+            points = rng.sample(range(n + 1), 3)
+            assert_witness_matches(f, range(2 * e + 1), points)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qhamming.enumerators import distribution_from_dict
 from qhamming.exceptions import ConditionError, DomainError, SchemaError
-from qhamming.krawtchouk import KrawParams, kraw_table
+from qhamming.krawtchouk import KrawParams, _kraw_table, kraw_table
 from qhamming.lp_bound import (
     KBasisPoly,
     check_conditions,
@@ -47,6 +47,14 @@ def test_eval_basis_element_reproduces_polynomial_values():
 
 def test_eval_known_value():
     assert poly_eval(_poly([1, 1, 0], 2), 0) == 7
+
+
+def test_eval_builds_no_table():
+    _kraw_table.cache_clear()
+    for n in range(1, 8):
+        f = _poly([Fraction(1, r + 1) for r in range(n + 1)], n)
+        [poly_eval(f, t) for t in range(n + 1)]
+    assert _kraw_table.cache_info().currsize == 0
 
 
 def test_eval_domain_error():
