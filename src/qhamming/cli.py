@@ -62,6 +62,8 @@ def _load_json_file(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         _fail(2, f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        _fail(2, f"cannot decode {path}: {exc}")
     except json.JSONDecodeError as exc:
         _fail(2, f"malformed JSON in {path}: {exc}")
 

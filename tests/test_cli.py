@@ -134,6 +134,14 @@ def test_bound_missing_file_exits_2(runner):
     assert result.exit_code == 2
 
 
+def test_bound_non_utf8_file_exits_2(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    result = runner.invoke(main, ["bound", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot decode {path}: ")
+
+
 def test_bound_evaluates_witness_once(runner, witness_file, tmp_path, monkeypatch):
     calls = []
     real = lp_bound._poly_values
@@ -298,6 +306,14 @@ def test_macwilliams_missing_field_exits_2(runner, tmp_path):
     path.write_text(json.dumps({"n": 2, "m": 2, "A": ["1", "0", "0"]}))
     result = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path)])
     assert result.exit_code == 2
+
+
+def test_macwilliams_non_utf8_file_exits_2(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    result = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: cannot decode {path}: ")
 
 
 def test_macwilliams_json_approx_adds_keys(runner, dist_file):
