@@ -1,11 +1,13 @@
 """Exact linear-programming bounds for quantum error-correcting codes.
 
 Everything is computed in exact integer/rational arithmetic: Krawtchouk
-polynomial values over the m^2-ary Hamming scheme, product
-linearizations, MacWilliams transforms of weight distributions,
-sign-condition checks for witness polynomials, and the length
-thresholds beyond which every ((n, K, d))_m code satisfies the quantum
-Hamming bound.
+polynomial values over the m^2-ary Hamming scheme, MacWilliams
+transforms of weight distributions, sign-condition checks and dimension
+bounds for witness polynomials, and the length thresholds beyond which
+every ((n, K, d))_m code satisfies the quantum Hamming bound.  The
+routes that only cross-check these (defining sums, closed forms,
+product linearization, orthogonality extraction) live in the test
+suite's ``tests/oracles.py``, not in the package.
 """
 from .enumerators import (
     PurityReport,
@@ -31,23 +33,14 @@ from .hamming_witness import (
     singleton_rhs,
     verify_small_n_coverage,
     witness_coeffs,
-    witness_value,
 )
 from .krawtchouk import (
     ExactScalar,
     KrawParams,
     binomial,
     kraw_eval,
-    kraw_partial_sum,
     kraw_recurrence,
-    kraw_row,
     kraw_table,
-)
-from .linearization import (
-    LinearizationRow,
-    kbasis_extract,
-    linearization_terms,
-    linearize_product,
 )
 from .lp_bound import (
     BoundReport,
@@ -55,7 +48,6 @@ from .lp_bound import (
     KBasisPoly,
     check_conditions,
     dimension_bound,
-    poly_eval,
     witness_from_dict,
     witness_to_dict,
 )
@@ -74,7 +66,6 @@ __all__ = [
     "HorizonError",
     "KBasisPoly",
     "KrawParams",
-    "LinearizationRow",
     "NVerdict",
     "PurityReport",
     "SchemaError",
@@ -93,24 +84,17 @@ __all__ = [
     "find_threshold",
     "format_rational",
     "hamming_rhs",
-    "kbasis_extract",
     "kraw_eval",
-    "kraw_partial_sum",
     "kraw_recurrence",
-    "kraw_row",
     "kraw_table",
-    "linearization_terms",
-    "linearize_product",
     "make_distribution",
     "mw_forward",
     "mw_inverse",
     "parse_rational",
-    "poly_eval",
     "singleton_rhs",
     "verify_small_n_coverage",
     "witness_coeffs",
     "witness_from_dict",
     "witness_to_dict",
-    "witness_value",
     "__version__",
 ]

@@ -66,6 +66,8 @@ def _load_json_file(path: str) -> dict:
         _fail(2, f"cannot decode {path}: {exc}")
     except json.JSONDecodeError as exc:
         _fail(2, f"malformed JSON in {path}: {exc}")
+    except ValueError as exc:  # an integer beyond the int-string digit limit
+        _fail(2, f"cannot parse {path}: {exc}")
 
 
 def _cell(value) -> str:

@@ -5,8 +5,8 @@ coefficients
 
     f_t = g(t)^2,   g(t) = P_0(t) + P_1(t) + ... + P_e(t),
 
-and, expanded through the product linearization and orthogonality, the
-closed-form values
+and, expanded through the product linearization (``linearization_terms``)
+and orthogonality, the closed-form values
 
     f(t) = q^n sum_{i,j<=e} sum_s C(t, 2t+2s-i-j) C(n-t, s)
                  C(2t+2s-i-j, t+s-j) (gamma-1)^(i+j-2s-t) gamma^s
@@ -28,17 +28,17 @@ and leaves the extrapolation to the caller.
 and never builds a Krawtchouk table.  Outside S both sign conditions
 hold by construction: f_t = g(t)^2 is never negative, and f(t) = 0 for
 t > 2e because linearization coefficients vanish above degree i + j.
-So only t in S matter.  There g(t) comes from the degree recurrence at
-the points 0..2e, and f(t)/q^n = sum_{s<=e} B[t][s] C(n-t, s), where the
-table B (``_value_table``) is the n-free part of the closed form above,
-built once per (e, m).  The generic route, ``witness_coeffs`` with
-``lp_bound.dimension_bound``, stays as the engine for arbitrary
-witnesses and as the test oracle for ``check_n``.
+So only t in S matter.  There f(t)/q^n = sum_{s<=e} B[t][s] C(n-t, s),
+where the table B (``_value_table``) is the n-free part of the closed
+form above, built once per (e, m).  The generic route, ``witness_coeffs``
+with ``lp_bound.dimension_bound``, gives the same verdict over every
+t in 0..n; the tests hold the two to each other.
 
-``witness_coeffs`` sums the partial sums directly rather than through
-the shifted closed form P_e(t-1; n-1)^2, which would hit a negative
-binomial argument at t = 0; that identity is exercised only as a test
-for t >= 1.
+Both routes take g from one kernel, ``_partial_sums``: the column sums
+of the degree recurrence ``kraw_recurrence``, at the points of S for
+``check_n`` and at 0..n for ``witness_coeffs``.  The independent routes
+that cross-check them (the defining sums, the closed forms and the
+orthogonality extraction) live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -46,11 +46,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exceptions import DomainError, HorizonError
-from .krawtchouk import KrawParams, binomial, kraw_partial_sum, kraw_recurrence
-from .linearization import linearization_terms
+from .krawtchouk import KrawParams, binomial, kraw_recurrence
 from .lp_bound import KBasisPoly
 from .rational import to_wire
 
@@ -78,33 +77,39 @@ class WitnessSpec:
         return tuple(range(2 * self.e + 1))
 
 
+def _partial_sums(e: int, xs: Sequence[int], p: KrawParams) -> list[int]:
+    """g(x) = P_0(x) + P_1(x) + ... + P_e(x) for each x in xs."""
+    return [sum(col) for col in zip(*kraw_recurrence(e, xs, p))]
+
+
 def witness_coeffs(spec: WitnessSpec) -> KBasisPoly:
-    """Coefficients f_t = (sum_{i<=e} P_i(t))^2 for t = 0..n."""
+    """Coefficients f_t = g(t)^2 for t = 0..n."""
     p = spec.params
-    e = spec.e
-    coeffs = tuple(kraw_partial_sum(e, t, p) ** 2 for t in range(p.n + 1))
-    return KBasisPoly(p, coeffs)
+    return KBasisPoly(p, tuple(g**2 for g in _partial_sums(spec.e, range(p.n + 1), p)))
 
 
-def witness_value(t: int, spec: WitnessSpec) -> int:
-    """f(t) by the closed-form triple sum.
+def linearization_terms(i: int, j: int, k: int, m: int) -> tuple[int, ...]:
+    """The part of the coefficient of P_k in P_i P_j that is free of n.
 
-    Must agree with evaluating ``witness_coeffs`` through the basis.
-    The n-free factors of each (i, j) term come from
-    ``linearization_terms``.
+    The product of two family members has an exact expansion
+    P_i P_j = sum_k c_k P_k with nonnegative integer coefficients
+    c_k = sum_s terms[s] * C(n-k, s), where
+
+        terms[s] = C(k, 2k+2s-i-j) C(2k+2s-i-j, k+s-j)
+                   * (gamma-1)^(i+j-2s-k) * gamma^s,   gamma = m^2 - 1.
+
+    The first binomial vanishes once 2k+2s-i-j > k, so s stops at
+    floor((i+j-k)/2), where the exponent of gamma-1 is still
+    nonnegative; for k > i+j there are no terms at all.
     """
-    p = spec.params
-    n = p.n
-    if not 0 <= t <= n:
-        raise DomainError(f"point t must lie in [0, {n}], got {t}")
-    e = spec.e
-    total = sum(
-        a * binomial(n - t, s)
-        for i in range(e + 1)
-        for j in range(e + 1)
-        for s, a in enumerate(linearization_terms(i, j, t, p.m))
-    )
-    return p.q**n * total
+    g = m * m - 1
+    w = g - 1
+    terms = []
+    for s in range((i + j - k) // 2 + 1):
+        b1 = 2 * k + 2 * s - i - j
+        c = binomial(k, b1) * binomial(b1, k + s - j)
+        terms.append(c * w ** (i + j - 2 * s - k) * g**s if c else 0)
+    return tuple(terms)
 
 
 @lru_cache(maxsize=128)
@@ -196,7 +201,7 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
     rhs = hamming_rhs(n, d, m)
     e = spec.e
     S = spec.index_set
-    g = [sum(col) for col in zip(*kraw_recurrence(e, S, spec.params))]
+    g = _partial_sums(e, S, spec.params)
     if not all(g):
         return NVerdict(n, d, m, False, False, None, None, rhs)
     B = _value_table(e, m)
@@ -256,11 +261,6 @@ def find_threshold(d: int, m: int, horizon: Optional[int] = None) -> ThresholdRe
         raise DomainError(f"distance d must be >= 1, got {d}")
     if horizon < d:
         raise DomainError(f"horizon must be >= d = {d}, got {horizon}")
-    return _scan(d, m, horizon)
-
-
-@lru_cache(maxsize=None)
-def _scan(d: int, m: int, horizon: int) -> ThresholdReport:
     verdicts = tuple(check_n(n, d, m) for n in range(d, horizon + 1))
     if not verdicts[-1].passed:
         raise HorizonError(

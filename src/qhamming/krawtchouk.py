@@ -9,12 +9,13 @@ degree-k polynomial evaluated at an integer point x in {0..n} is
 
 and every value is an exact (arbitrary-precision) integer.
 
-All functions are pure.  ``kraw_table`` builds the full (n+1)^2 value
-table for the generic witness engine (``lp_bound``), the MacWilliams
-transforms and the orthogonality routes, and keeps only the few most
-recently used (n, m), so memory stays bounded over many lengths.  The
-threshold scan never touches that cache: it runs the degree recurrence
-at the few points it needs through ``kraw_recurrence``.
+All functions are pure.  ``kraw_eval`` is the defining sum above (the
+``kraw`` command).  ``kraw_recurrence`` runs the degree recurrence at
+chosen points; the threshold scan and the witness coefficients use it
+alone.  ``kraw_table`` builds the full (n+1)^2 value table from it for
+the generic witness engine (``lp_bound``) and the MacWilliams
+transforms, and keeps only the few most recently used (n, m), so memory
+stays bounded over many lengths.
 """
 from __future__ import annotations
 
@@ -89,18 +90,6 @@ def kraw_eval(k: int, x: int, p: KrawParams) -> int:
     return total
 
 
-def kraw_partial_sum(e: int, x: int, p: KrawParams) -> int:
-    """Direct sum P_0(x) + P_1(x) + ... + P_e(x).
-
-    Summed term by term on purpose: the closed form via a shifted
-    polynomial of one lower length is a separate identity that tests
-    check against this function.
-    """
-    _require_range("degree e", e, p.n)
-    _require_range("point x", x, p.n)
-    return sum(kraw_eval(i, x, p) for i in range(e + 1))
-
-
 def kraw_recurrence(k_max: int, xs: Sequence[int], p: KrawParams) -> list[list[int]]:
     """Values P_k(x; n) as ``rows[k][i] = P_k(xs[i])`` for k = 0..k_max.
 
@@ -140,8 +129,3 @@ def kraw_table(p: KrawParams) -> tuple[tuple[int, ...], ...]:
     """All values P_k(x; n) as ``table[k][x]`` for k, x in {0..n}."""
     return _kraw_table(p.n, p.m)
 
-
-def kraw_row(k: int, p: KrawParams) -> tuple[int, ...]:
-    """The vector (P_k(0), ..., P_k(n))."""
-    _require_range("degree k", k, p.n)
-    return kraw_table(p)[k]

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exceptions import ConditionError, DomainError, SchemaError
-from .krawtchouk import ExactScalar, KrawParams, kraw_recurrence, kraw_table
+from .krawtchouk import ExactScalar, KrawParams, kraw_table
 from .rational import (
     check_document, common_denominator, format_rational, integer_dots, is_array, is_int,
     parse_rational,
@@ -69,17 +69,6 @@ class BoundReport:
     bound_floor: int
     argmax_t: int
     ratios: tuple[tuple[int, Fraction], ...]  # (t, f(t)/f_t) for t in S, ascending
-
-
-def poly_eval(f: KBasisPoly, t: int) -> ExactScalar:
-    """f(t) = sum_r f_r P_r(t): an ``int`` when every f_r is one, else a ``Fraction``."""
-    n = f.params.n
-    if not 0 <= t <= n:
-        raise DomainError(f"point t must lie in [0, {n}], got {t}")
-    column = [row[0] for row in kraw_recurrence(n, [t], f.params)]
-    ints, L = common_denominator(f.coeffs)
-    [value] = integer_dots(ints, [column])
-    return value if all(isinstance(c, int) for c in f.coeffs) else Fraction(value, L)
 
 
 def _poly_values(f: KBasisPoly) -> tuple[list[int], list[int]]:

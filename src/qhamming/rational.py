@@ -28,12 +28,14 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
         raise SchemaError(f"not a rational string: {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if int(den) == 0:
-            raise SchemaError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # an integer beyond the int-string digit limit
+        raise SchemaError(f"rational string out of range: {exc}") from exc
+    if den == 0:
+        raise SchemaError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value) -> str:

@@ -1,0 +1,129 @@
+"""Independent routes to what ``qhamming`` computes, by their defining formulas.
+
+Nothing in the package calls these.  Each one is written from its
+formula, term by term in ``int`` and ``Fraction``, so that the engine
+(the degree recurrence, integer dot products over a common denominator,
+the n-free value table of the threshold scan) is checked against a
+second derivation:
+
+- ``partial_sum`` and ``squared_partial_sums``: g(x) = sum_{i<=e} P_i(x)
+  by the defining sum of each P_i, and the witness coefficients g(t)^2;
+- ``product_coeff``, ``linearize_product`` and ``witness_value``: the
+  closed double-binomial expansion of P_i P_j in the Krawtchouk basis,
+  and the closed-form witness values built from it;
+- ``poly_eval`` and ``kbasis_extract``: f(t) = sum_r f_r P_r(t), and its
+  inverse through the orthogonality relation
+  sum_r P_k(r) P_r(t) = q^n delta_{k,t};
+- ``mw_forward``, ``mw_inverse`` and ``reports``: the MacWilliams pair,
+  the sign conditions and the dimension bound, adding one ``Fraction``
+  term at a time.
+"""
+import math
+from fractions import Fraction
+
+from qhamming.krawtchouk import binomial, kraw_eval, kraw_table
+from qhamming.lp_bound import BoundReport, ConditionReport
+
+# --- the squared-partial-sum witness ----------------------------------
+
+
+def partial_sum(e, x, p):
+    """P_0(x) + P_1(x) + ... + P_e(x), each by its defining sum."""
+    return sum(kraw_eval(i, x, p) for i in range(e + 1))
+
+
+def squared_partial_sums(spec):
+    """The witness coefficients f_t = g(t)^2 for t = 0..n."""
+    p = spec.params
+    return tuple(partial_sum(spec.e, t, p) ** 2 for t in range(p.n + 1))
+
+
+def product_coeff(i, j, k, p):
+    """c_k in P_i P_j = sum_k c_k P_k:
+
+    sum_s C(k, 2k+2s-i-j) C(n-k, s) C(2k+2s-i-j, k+s-j)
+          * (gamma-1)^(i+j-2s-k) * gamma^s.
+    """
+    g = p.gamma
+    total = 0
+    for s in range(p.n - k + 1):
+        b1 = 2 * k + 2 * s - i - j
+        c = binomial(k, b1) * binomial(p.n - k, s) * binomial(b1, k + s - j)
+        if c:  # then b1 <= k, so the exponent of gamma-1 is nonnegative
+            total += c * (g - 1) ** (i + j - 2 * s - k) * g**s
+    return total
+
+
+def linearize_product(i, j, p):
+    """Coefficients c_0..c_n with P_i P_j = sum_k c_k P_k."""
+    return tuple(product_coeff(i, j, k, p) for k in range(p.n + 1))
+
+
+def witness_value(t, spec):
+    """f(t) = q^n sum_{i,j<=e} c_t(i, j): the closed-form witness value."""
+    p, e = spec.params, spec.e
+    pairs = sum(product_coeff(i, j, t, p) for i in range(e + 1) for j in range(e + 1))
+    return p.q**p.n * pairs
+
+
+# --- the Krawtchouk basis ----------------------------------------------
+
+
+def poly_eval(f, t):
+    """f(t) = sum_r f_r P_r(t): an ``int`` when every f_r is one, else a ``Fraction``."""
+    table = kraw_table(f.params)
+    return sum(c * table[r][t] for r, c in enumerate(f.coeffs))
+
+
+def kbasis_extract(values, p):
+    """f_0..f_n with sum_r f_r P_r(t) = values[t]: f_k = q^-n sum_t values[t] P_t(k)."""
+    table = kraw_table(p)
+    return tuple(
+        Fraction(sum(values[t] * table[t][k] for t in range(p.n + 1)), p.q**p.n)
+        for k in range(p.n + 1)
+    )
+
+
+# --- MacWilliams pair and witness reports -------------------------------
+
+
+def mw_forward(dist):
+    """Entries of the dual: A'_i = (K / m^n) sum_r A_r P_i(r)."""
+    p = dist.params
+    table = kraw_table(p)
+    scale = Fraction(dist.K, p.m**p.n)
+    return tuple(
+        scale * sum(a * v for a, v in zip(dist.entries, table[i]))
+        for i in range(p.n + 1)
+    )
+
+
+def mw_inverse(dual):
+    """Entries of the primal: A_r = (1 / (K m^n)) sum_i A'_i P_r(i)."""
+    p = dual.params
+    table = kraw_table(p)
+    scale = 1 / (dual.K * p.m**p.n)
+    return tuple(
+        scale * sum(a * v for a, v in zip(dual.entries, table[r]))
+        for r in range(p.n + 1)
+    )
+
+
+def reports(f, S):
+    """``(ConditionReport, BoundReport or None)`` for the witness f on S."""
+    S = tuple(sorted(set(S)))
+    values = [poly_eval(f, t) for t in range(f.params.n + 1)]
+    cond1 = [
+        t for t, c in enumerate(f.coeffs) if (not c > 0 if t in S else c < 0)
+    ]
+    cond2 = [t for t in range(f.params.n + 1) if t not in S and values[t] > 0]
+    cond = ConditionReport(S, not cond1, tuple(cond1), not cond2, tuple(cond2))
+    if not cond.ok:
+        return cond, None
+    ratios = tuple((t, Fraction(values[t]) / Fraction(f.coeffs[t])) for t in S)
+    best_t, best = ratios[0]
+    for t, r in ratios[1:]:
+        if r > best:
+            best_t, best = t, r
+    bound = best / f.params.m**f.params.n
+    return cond, BoundReport(bound, math.floor(bound), best_t, ratios)

@@ -142,6 +142,30 @@ def test_bound_non_utf8_file_exits_2(runner, tmp_path):
     assert result.stderr.startswith(f"error: cannot decode {path}: ")
 
 
+# An integer past Python's 4,300-digit int-string limit, as a JSON number
+# (read by json) or inside a rational string (read by parse_rational).
+HUGE = "9" * 5000
+CANNOT_PARSE = "cannot parse {path}: "
+OUT_OF_RANGE = "rational string out of range: "
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ('{"n": HUGE, "m": 2, "S": [0], "coeffs": ["1"]}', CANNOT_PARSE),
+        ('{"n": 1, "m": 2, "S": [HUGE], "coeffs": ["1", "1"]}', CANNOT_PARSE),
+        ('{"n": 1, "m": 2, "S": [0], "coeffs": ["HUGE", "1"]}', OUT_OF_RANGE),
+    ],
+    ids=["n", "S", "coeffs"],
+)
+def test_bound_integer_past_digit_limit_exits_2(runner, tmp_path, text, prefix):
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace("HUGE", HUGE))
+    result = runner.invoke(main, ["bound", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: " + prefix.format(path=path))
+
+
 def test_bound_evaluates_witness_once(runner, witness_file, tmp_path, monkeypatch):
     calls = []
     real = lp_bound._poly_values
@@ -314,6 +338,22 @@ def test_macwilliams_non_utf8_file_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path)])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: cannot decode {path}: ")
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ('{"n": HUGE, "m": 2, "K": "1", "A": ["1"]}', CANNOT_PARSE),
+        ('{"n": 1, "m": 2, "K": "1/HUGE", "A": ["1", "0"]}', OUT_OF_RANGE),
+    ],
+    ids=["n", "K"],
+)
+def test_macwilliams_integer_past_digit_limit_exits_2(runner, tmp_path, text, prefix):
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace("HUGE", HUGE))
+    result = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: " + prefix.format(path=path))
 
 
 def test_macwilliams_json_approx_adds_keys(runner, dist_file):

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +13,6 @@ from qhamming.exceptions import ConditionError, DomainError, HorizonError
 from qhamming.hamming_witness import (
     NVerdict,
     WitnessSpec,
-    _scan,
     _value_table,
     check_n,
     default_horizon,
@@ -20,10 +21,11 @@ from qhamming.hamming_witness import (
     singleton_rhs,
     verify_small_n_coverage,
     witness_coeffs,
-    witness_value,
 )
 from qhamming.krawtchouk import KrawParams, _kraw_table
-from qhamming.lp_bound import dimension_bound, poly_eval
+from qhamming.lp_bound import dimension_bound
+
+from oracles import poly_eval, squared_partial_sums, witness_value
 
 
 def test_spec_derived_fields():
@@ -49,6 +51,17 @@ def test_coeffs_known_case():
     # d=3, n=5, m=2: partial sum is 16 - 4t, squared.
     spec = WitnessSpec(3, KrawParams(5, 2))
     assert witness_coeffs(spec).coeffs == (256, 144, 64, 16, 0, 16)
+
+
+def test_coeffs_equal_squared_defining_sums():
+    # The recurrence kernel against P_0 + ... + P_e by the defining sum.
+    for m in range(2, 6):
+        for n in range(1, 31):
+            for d in range(1, n + 1):
+                spec = WitnessSpec(d, KrawParams(n, m))
+                coeffs = witness_coeffs(spec).coeffs
+                assert coeffs == squared_partial_sums(spec), (n, m, d)
+                assert all(type(c) is int for c in coeffs), (n, m, d)
 
 
 def test_coeff_at_zero_is_squared_ball_size():
@@ -104,12 +117,6 @@ def test_value_matches_basis_evaluation():
                 f = witness_coeffs(spec)
                 for t in range(n + 1):
                     assert witness_value(t, spec) == poly_eval(f, t)
-
-
-def test_value_domain_error():
-    spec = WitnessSpec(3, KrawParams(5, 2))
-    with pytest.raises(DomainError):
-        witness_value(6, spec)
 
 
 def test_hamming_rhs_values():
@@ -191,6 +198,13 @@ def test_find_threshold_small_scan():
     by_n = {v.n: v for v in report.per_n}
     assert not by_n[4].passed
     assert all(by_n[n].passed for n in range(5, 61))
+
+
+def test_find_threshold_keeps_no_report():
+    # Scans are not cached: a report lives only as long as its caller holds it.
+    ref = weakref.ref(find_threshold(3, 2, 20))
+    gc.collect()
+    assert ref() is None
 
 
 def test_find_threshold_trivial_distance():
@@ -337,7 +351,6 @@ def test_check_n_matches_generic_route_full_grid():
 
 def test_scan_builds_no_krawtchouk_table():
     _kraw_table.cache_clear()
-    _scan.cache_clear()
     find_threshold(15, 3)
     assert _kraw_table.cache_info().currsize == 0
 

@@ -1,12 +1,11 @@
 """The integer basis-sum kernel against the term-by-term ``Fraction`` sums.
 
-``mw_forward``, ``mw_inverse``, ``check_conditions``, ``dimension_bound``,
-``poly_eval`` and ``kbasis_extract`` put their inputs over one common
-denominator and sum in integers.  The oracles below add ``Fraction``
-terms one at a time, as the engine once did; every output must equal
-theirs in value and in type.
+``mw_forward``, ``mw_inverse``, ``check_conditions`` and
+``dimension_bound`` put their inputs over one common denominator and sum
+in integers.  The oracles in ``oracles`` add ``Fraction`` terms one at a
+time, as the engine once did; every output must equal theirs in value
+and in type.
 """
-import math
 import random
 from fractions import Fraction
 
@@ -17,77 +16,11 @@ from hypothesis import strategies as st
 from qhamming.enumerators import WeightDistribution, mw_forward, mw_inverse
 from qhamming.exceptions import ConditionError
 from qhamming.hamming_witness import WitnessSpec, witness_coeffs
-from qhamming.krawtchouk import KrawParams, kraw_table
-from qhamming.linearization import kbasis_extract
-from qhamming.lp_bound import (
-    BoundReport,
-    ConditionReport,
-    KBasisPoly,
-    check_conditions,
-    dimension_bound,
-    poly_eval,
-)
+from qhamming.krawtchouk import KrawParams
+from qhamming.lp_bound import KBasisPoly, check_conditions, dimension_bound
 from qhamming.rational import common_denominator, integer_dots
 
-# --- term-by-term oracles ---------------------------------------------
-
-
-def oracle_mw_forward(dist):
-    p = dist.params
-    table = kraw_table(p)
-    scale = Fraction(dist.K, p.m**p.n)
-    return tuple(
-        scale * sum(a * v for a, v in zip(dist.entries, table[i]))
-        for i in range(p.n + 1)
-    )
-
-
-def oracle_mw_inverse(dual):
-    p = dual.params
-    table = kraw_table(p)
-    scale = 1 / (dual.K * p.m**p.n)
-    return tuple(
-        scale * sum(a * v for a, v in zip(dual.entries, table[r]))
-        for r in range(p.n + 1)
-    )
-
-
-def oracle_poly_values(f):
-    table = kraw_table(f.params)
-    return [
-        sum(c * table[r][t] for r, c in enumerate(f.coeffs))
-        for t in range(f.params.n + 1)
-    ]
-
-
-def oracle_kbasis_extract(values, p):
-    table = kraw_table(p)
-    scale = p.q**p.n
-    return tuple(
-        Fraction(sum(values[t] * table[t][k] for t in range(p.n + 1))) / scale
-        for k in range(p.n + 1)
-    )
-
-
-def oracle_reports(f, S):
-    """``(ConditionReport, BoundReport or None)`` by the term-by-term route."""
-    S = tuple(sorted(set(S)))
-    values = oracle_poly_values(f)
-    cond1 = [
-        t for t, c in enumerate(f.coeffs) if (not c > 0 if t in S else c < 0)
-    ]
-    cond2 = [t for t in range(f.params.n + 1) if t not in S and values[t] > 0]
-    cond = ConditionReport(S, not cond1, tuple(cond1), not cond2, tuple(cond2))
-    if not cond.ok:
-        return cond, None
-    ratios = tuple((t, Fraction(values[t]) / Fraction(f.coeffs[t])) for t in S)
-    best_t, best = ratios[0]
-    for t, r in ratios[1:]:
-        if r > best:
-            best_t, best = t, r
-    bound = best / f.params.m**f.params.n
-    return cond, BoundReport(bound, math.floor(bound), best_t, ratios)
-
+import oracles
 
 # --- comparisons -------------------------------------------------------
 
@@ -100,12 +33,12 @@ def assert_same(got, want):
 def assert_mw_matches(dist):
     fwd, inv = mw_forward(dist), mw_inverse(dist)
     assert (fwd.params, fwd.K, inv.params, inv.K) == (dist.params, dist.K) * 2
-    assert_same(fwd.entries, oracle_mw_forward(dist))
-    assert_same(inv.entries, oracle_mw_inverse(dist))
+    assert_same(fwd.entries, oracles.mw_forward(dist))
+    assert_same(inv.entries, oracles.mw_inverse(dist))
 
 
-def assert_witness_matches(f, S, points=None):
-    cond, bound = oracle_reports(f, S)
+def assert_witness_matches(f, S):
+    cond, bound = oracles.reports(f, S)
     assert check_conditions(f, S) == cond
     if bound is None:
         with pytest.raises(ConditionError) as info:
@@ -116,10 +49,6 @@ def assert_witness_matches(f, S, points=None):
         assert got == bound
         assert type(got.bound) is Fraction and type(got.bound_floor) is int
         assert all(type(r) is Fraction for _, r in got.ratios)
-    values = oracle_poly_values(f)
-    for t in range(f.params.n + 1) if points is None else points:
-        got = poly_eval(f, t)
-        assert got == values[t] and type(got) is type(values[t]), t
 
 
 # --- inputs ------------------------------------------------------------
@@ -199,7 +128,6 @@ def test_integer_sums_match_oracles_on_grid(m):
         K = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         entries = tuple(mixed_scalar(rng) for _ in range(n + 1))
         assert_mw_matches(WeightDistribution(p, K, entries))
-        assert_same(kbasis_extract(entries, p), oracle_kbasis_extract(entries, p))
         for f, S in witnesses(rng, p):
             assert_witness_matches(f, S)
 
@@ -259,6 +187,4 @@ def test_integer_sums_match_oracles_at_benchmark_sizes(m):
         else:
             e = 1 + n % 4
             lam = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            f = scaled_witness(2 * e + 1, p, lam)
-            points = rng.sample(range(n + 1), 3)
-            assert_witness_matches(f, range(2 * e + 1), points)
+            assert_witness_matches(scaled_witness(2 * e + 1, p, lam), range(2 * e + 1))

@@ -1,22 +1,22 @@
+"""Product linearization: the engine's n-free terms and the oracles' closed form."""
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhamming.exceptions import DomainError
-from qhamming.krawtchouk import KrawParams, kraw_table
-from qhamming.linearization import kbasis_extract, linearization_terms, linearize_product
+from qhamming.hamming_witness import linearization_terms
+from qhamming.krawtchouk import KrawParams, binomial, kraw_table
+
+from oracles import kbasis_extract, linearize_product, product_coeff
 
 
 def test_degree_zero_factor_gives_unit_row():
     for n in (1, 3, 5):
         p = KrawParams(n, 2)
         for j in range(n + 1):
-            row = linearize_product(0, j, p)
             expected = tuple(1 if k == j else 0 for k in range(n + 1))
-            assert row.coeffs == expected
-            assert linearize_product(j, 0, p).coeffs == expected
+            assert linearize_product(0, j, p) == expected
+            assert linearize_product(j, 0, p) == expected
 
 
 def test_square_of_degree_one_small_case():
@@ -28,11 +28,11 @@ def test_square_of_degree_one_small_case():
     extracted = kbasis_extract(values, p)
     assert extracted == (Fraction(6), Fraction(2), Fraction(2))
 
-    row = linearize_product(1, 1, p)
-    assert row.coeffs == (6, 2, 2)
+    coeffs = linearize_product(1, 1, p)
+    assert coeffs == (6, 2, 2)
     # pointwise: 6*P_0 + 2*P_1 + 2*P_2 reproduces the squared values
     for x in range(3):
-        assert sum(c * table[k][x] for k, c in enumerate(row.coeffs)) == values[x]
+        assert sum(c * table[k][x] for k, c in enumerate(coeffs)) == values[x]
 
 
 def test_support_bounds():
@@ -42,7 +42,7 @@ def test_support_bounds():
             p = KrawParams(n, m)
             for i in range(n + 1):
                 for j in range(n + 1):
-                    coeffs = linearize_product(i, j, p).coeffs
+                    coeffs = linearize_product(i, j, p)
                     for k in range(n + 1):
                         if k > i + j or k < abs(i - j):
                             assert coeffs[k] == 0, (n, m, i, j, k)
@@ -62,7 +62,7 @@ def test_symmetry_in_the_two_degrees():
     p = KrawParams(6, 3)
     for i in range(7):
         for j in range(i, 7):
-            assert linearize_product(i, j, p).coeffs == linearize_product(j, i, p).coeffs
+            assert linearize_product(i, j, p) == linearize_product(j, i, p)
 
 
 def test_pointwise_equivalence_small_sweep():
@@ -72,19 +72,25 @@ def test_pointwise_equivalence_small_sweep():
             table = kraw_table(p)
             for i in range(n + 1):
                 for j in range(n + 1):
-                    coeffs = linearize_product(i, j, p).coeffs
+                    coeffs = linearize_product(i, j, p)
                     for x in range(n + 1):
                         lhs = table[i][x] * table[j][x]
                         rhs = sum(c * table[k][x] for k, c in enumerate(coeffs))
                         assert lhs == rhs
 
 
-def test_domain_errors():
-    p = KrawParams(4, 2)
-    with pytest.raises(DomainError):
-        linearize_product(5, 0, p)
-    with pytest.raises(DomainError):
-        linearize_product(0, -1, p)
+def test_terms_times_binomials_give_closed_form():
+    # The engine's n-free terms, completed with C(n-k, s), against the
+    # oracle's closed double-binomial sum.
+    for n in range(1, 9):
+        for m in (2, 3, 5):
+            p = KrawParams(n, m)
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    for k in range(n + 1):
+                        terms = linearization_terms(i, j, k, m)
+                        value = sum(a * binomial(n - k, s) for s, a in enumerate(terms))
+                        assert value == product_coeff(i, j, k, p), (n, m, i, j, k)
 
 
 def test_extract_basis_rows_give_unit_vectors():
@@ -100,12 +106,6 @@ def test_extract_all_ones_is_unit_at_zero():
     p = KrawParams(7, 3)
     coeffs = kbasis_extract([1] * 8, p)
     assert coeffs == tuple(Fraction(1 if r == 0 else 0) for r in range(8))
-
-
-def test_extract_length_mismatch():
-    p = KrawParams(4, 2)
-    with pytest.raises(DomainError):
-        kbasis_extract([1, 2, 3], p)
 
 
 @st.composite
