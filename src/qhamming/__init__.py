@@ -27,7 +27,6 @@ from .hamming_witness import (
     ThresholdReport,
     WitnessSpec,
     check_n,
-    default_horizon,
     find_threshold,
     hamming_rhs,
     singleton_rhs,
@@ -77,7 +76,6 @@ __all__ = [
     "check_conditions",
     "check_n",
     "check_purity_window",
-    "default_horizon",
     "dimension_bound",
     "distribution_from_dict",
     "distribution_to_dict",

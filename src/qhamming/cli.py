@@ -5,7 +5,7 @@ Exit codes are a stable contract:
     0   success
     2   usage, parse, or domain errors
     3   witness sign conditions failed (report still printed)
-    4   no stable passing tail within the scanned horizon
+    4   threshold not proved within an explicit ``--horizon``
 
 Library errors become codes 2 and 4 in one place, ``_Main.invoke``.  A
 subcommand exits 3 or 4 itself only after printing its report.
@@ -51,6 +51,10 @@ def _output_options(func):
     return func
 
 
+_horizon_option = click.option("--horizon", type=int,
+                               help="Largest length scanned. [default: the certified n0]")
+
+
 def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -64,7 +68,7 @@ def _load_json_file(path: str) -> dict:
         _fail(2, f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         _fail(2, f"cannot decode {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         _fail(2, f"malformed JSON in {path}: {exc}")
     except ValueError as exc:  # an integer beyond the int-string digit limit
         _fail(2, f"cannot parse {path}: {exc}")
@@ -237,19 +241,18 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
 @main.command()
 @click.option("--d", type=int, required=True, help="Minimum distance.")
 @click.option("--m", type=int, required=True, help="Levels per system.")
-@click.option("--horizon", type=int, default=None,
-              help="Largest length scanned.  [default: max(100, 10*d)]")
+@_horizon_option
 @_output_options
 def threshold(d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
-    """Find the least length N from which every scanned length passes."""
+    """Find and prove the least length N from which every length passes."""
     report = find_threshold(d, m, horizon)
     rows = [v.exact_dict() for v in report.per_n]
     text = [
         f"d={report.d} m={report.m} horizon={report.horizon}",
         f"threshold N = {report.threshold}",
         ("stable_tail = ", report.stable_tail),
-        f"note: scanned n in [{report.d}, {report.horizon}]; lengths beyond the horizon "
-        "are extrapolated, so the threshold is reliable only with a stable tail",
+        f"note: scanned n in [{report.d}, {report.horizon}]; with a stable tail every "
+        "longer length is proved to pass, so the threshold is proved",
         "   " + "  ".join(rows[0]),
     ]
     text += [
@@ -265,8 +268,7 @@ def threshold(d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) ->
 @main.command()
 @click.option("--max-d", "max_d", type=int, required=True, help="Largest (odd) distance.")
 @click.option("--m", type=int, required=True, help="Levels per system.")
-@click.option("--horizon", type=int, default=None,
-              help="Largest length scanned per distance.  [default: max(100, 10*d)]")
+@_horizon_option
 @_output_options
 def table1(max_d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
     """Tabulate thresholds N(d, m) for odd distances d = 1, 3, ..., max-d."""
@@ -284,7 +286,7 @@ def table1(max_d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -
     obj = {"m": m, "reference_values_published": m == 2, "rows": rows}
     _emit(fmt, approx, text, obj, rows)
     if any(not rep.stable_tail for rep in reports):
-        _fail(4, "at least one distance lacks a stable tail; increase --horizon")
+        _fail(4, "at least one distance lacks a stable tail, so its threshold is not proved")
 
 
 @main.command()
@@ -310,8 +312,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 @click.option("--K", "dim", type=str, required=True, help="Code dimension (rational string).")
 @click.option("--d", type=int, required=True, help="Minimum distance.")
 @click.option("--m", type=int, required=True, help="Levels per system.")
-@click.option("--horizon", type=int, default=None,
-              help="Horizon for the threshold scan.  [default: max(100, 10*d)]")
+@_horizon_option
 @_output_options
 def check(n: int, dim: str, d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
     """Test parameters (n, K, d, m) against the Hamming and Singleton bounds."""

@@ -22,4 +22,4 @@ class ConditionError(RuntimeError):
 
 
 class HorizonError(RuntimeError):
-    """No passing tail exists inside the scanned horizon."""
+    """No threshold can be proved: the witness fails at every large length."""

@@ -17,12 +17,13 @@ d = 2e+2, forcing equal thresholds for the two parities.
 
 When the ratio f(t)/f_t over S is maximized at t = 0, the certified
 dimension bound collapses to the sphere-packing (Hamming) right-hand
-side m^n / sum_{j<=e} gamma^j C(n,j) exactly.  ``find_threshold`` scans
-lengths up to a finite horizon for the least N from which that holds at
-every scanned length.  A "for all n >= N" claim cannot be decided by
-finite computation, so every report carries the horizon and a
-stable-tail flag (the trailing tenth of the scan must be failure-free)
-and leaves the extrapolation to the caller.
+side m^n / sum_{j<=e} gamma^j C(n,j) exactly.  ``find_threshold``
+proves the least N from which that holds at every length.  For n >= d
+it holds iff g(t) != 0 and D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for
+t = 1..2e, with c_t = f(t)/q^n; g(t)^2 - 1 and D_t are polynomials in n
+of degree <= 3e, and ``certify_threshold`` finds the least n0 where all
+their forward differences are >= 0, which proves every n >= n0.  The
+scan decides the lengths below n0 one by one.
 
 ``check_n`` decides one length with O(e^2) exact integer operations
 and never builds a Krawtchouk table.  Outside S both sign conditions
@@ -42,7 +43,6 @@ orthogonality extraction) live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,38 +188,78 @@ class NVerdict:
         return to_wire(self.exact_dict())
 
 
+def _sign_values(n: int, e: int, m: int) -> tuple[list[int], list[int]]:
+    """g_t(n) and c_t(n) = f(t)/q^n at the points t of S = {0..2e}."""
+    S = range(2 * e + 1)
+    g = _partial_sums(e, S, KrawParams(n, m))
+    B = _value_table(e, m)
+    return g, [sum(b * binomial(n - t, s) for s, b in enumerate(B[t])) for t in S]
+
+
 def check_n(n: int, d: int, m: int) -> NVerdict:
     """Does the witness certify the Hamming bound at length n?
 
-    Passes iff the sign conditions hold, the ratio maximum sits at
-    t = 0 (ties count, since the smallest index wins them), and the
-    certified bound equals the Hamming right-hand side exactly.  The
-    verdict equals the one ``dimension_bound(witness_coeffs(spec),
-    spec.index_set)`` gives; see the module docstring for the method.
+    Passes iff the sign conditions hold and the ratio maximum sits at
+    t = 0 (ties count, since the smallest index wins them); the bound is
+    then the Hamming right-hand side, as c_0 = g(0).  The verdict equals
+    the one ``dimension_bound(witness_coeffs(spec), spec.index_set)``
+    gives; see the module docstring for the method.
     """
     spec = WitnessSpec(d, KrawParams(n, m))
     rhs = hamming_rhs(n, d, m)
-    e = spec.e
-    S = spec.index_set
-    g = _partial_sums(e, S, spec.params)
+    g, c = _sign_values(n, spec.e, m)
     if not all(g):
         return NVerdict(n, d, m, False, False, None, None, rhs)
-    B = _value_table(e, m)
-    c = [sum(b * binomial(n - t, s) for s, b in enumerate(B[t])) for t in S]
     # f(t)/f_t = q^n c[t] / g[t]^2 with g[t]^2 > 0, so compare by cross
     # multiplication; a strict > keeps the smallest index on ties.
     best = 0
-    for t in S[1:]:
+    for t in range(1, len(g)):
         if c[t] * g[best] ** 2 > c[best] * g[t] ** 2:
             best = t
     bound = Fraction(m**n * c[best], g[best] ** 2)
-    passed = best == 0 and bound == rhs
-    return NVerdict(n, d, m, passed, True, best, bound, rhs)
+    return NVerdict(n, d, m, best == 0, True, best, bound, rhs)
+
+
+def certify_threshold(d: int, m: int) -> int:
+    """Least n0 >= d such that every length n >= n0 passes (for d >= 1).
+
+    Each polynomial p of the module docstring has
+    p(n0 + x) = sum_k Delta^k p(n0) C(x, k), so p >= 0 at every n >= n0
+    when all its forward differences at n0 are.  They come from 3e + 2
+    samples from n = d, the last of which must vanish (a check on the
+    degree bound), and n0 moves up by Delta^k += Delta^(k+1).  Raises
+    ``HorizonError`` when a top nonzero difference is negative: that p
+    is negative at every large n, so no n0 exists.
+    """
+    e = (d - 1) // 2
+    rows = []
+    for n in range(d, d + 3 * e + 2):
+        g, c = _sign_values(n, e, m)
+        rows.append([x * x - 1 for x in g[1:]]
+                    + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])])
+    vectors = []
+    for samples in map(list, zip(*rows)):
+        diffs = []
+        while samples:
+            diffs.append(samples[0])
+            samples = [b - a for a, b in zip(samples, samples[1:])]
+        if diffs.pop():
+            raise AssertionError(f"degree bound 3e fails for d={d}, m={m}")
+        if next((x for x in reversed(diffs) if x), 0) < 0:
+            raise HorizonError(f"no threshold for d={d}, m={m}: the witness fails at every large n")
+        vectors.append(diffs)
+    n0 = d
+    while any(x < 0 for v in vectors for x in v):
+        for v in vectors:
+            for k in range(len(v) - 1):
+                v[k] += v[k + 1]
+        n0 += 1
+    return n0
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Least N with a failure-free scan from N through the horizon."""
+    """Least N from which every length passes; proved when ``stable_tail``."""
 
     d: int
     m: int
@@ -243,35 +283,25 @@ class ThresholdReport:
         return to_wire(self.exact_dict())
 
 
-def default_horizon(d: int) -> int:
-    return max(100, 10 * d)
-
-
 def find_threshold(d: int, m: int, horizon: Optional[int] = None) -> ThresholdReport:
-    """Scan n = d..horizon for the least N after which every length passes.
+    """Least N from which every length passes, with the scan behind it.
 
-    Raises ``HorizonError`` when the top of the scan still fails (the
-    horizon is too small to exhibit any threshold).  ``stable_tail`` is
-    true when the last ceil(horizon/10) scanned lengths all pass; a
-    report without a stable tail should be treated as unreliable.
+    ``certify_threshold`` proves that every n >= n0 passes; ``check_n``
+    decides n = d..horizon (default n0), and N is one past the last
+    failure (d when none fails).  ``stable_tail`` is true when
+    horizon >= n0 - 1, so that N is proved; a shorter explicit horizon
+    leaves the lengths in between undecided and the report unproved.
     """
-    if horizon is None:
-        horizon = default_horizon(d)
     if d < 1:
         raise DomainError(f"distance d must be >= 1, got {d}")
-    if horizon < d:
+    if horizon is not None and horizon < d:
         raise DomainError(f"horizon must be >= d = {d}, got {horizon}")
+    n0 = certify_threshold(d, m)
+    horizon = n0 if horizon is None else horizon
     verdicts = tuple(check_n(n, d, m) for n in range(d, horizon + 1))
-    if not verdicts[-1].passed:
-        raise HorizonError(
-            f"no passing tail for d={d}, m={m} within horizon {horizon}; "
-            "increase the horizon"
-        )
     last_fail = max((v.n for v in verdicts if not v.passed), default=None)
     threshold = d if last_fail is None else last_fail + 1
-    window = min(math.ceil(horizon / 10), len(verdicts))
-    stable_tail = all(v.passed for v in verdicts[-window:])
-    return ThresholdReport(d, m, horizon, threshold, stable_tail, verdicts)
+    return ThresholdReport(d, m, horizon, threshold, horizon >= n0 - 1, verdicts)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,14 @@ second derivation:
   sum_r P_k(r) P_r(t) = q^n delta_{k,t};
 - ``mw_forward``, ``mw_inverse`` and ``reports``: the MacWilliams pair,
   the sign conditions and the dimension bound, adding one ``Fraction``
-  term at a time.
+  term at a time;
+- ``scanned_threshold``: N(d, m) by the finite-scan rule that the
+  forward-difference certificate replaced.
 """
 import math
 from fractions import Fraction
 
+from qhamming.hamming_witness import check_n
 from qhamming.krawtchouk import binomial, kraw_eval, kraw_table
 from qhamming.lp_bound import BoundReport, ConditionReport
 
@@ -127,3 +130,12 @@ def reports(f, S):
             best_t, best = t, r
     bound = best / f.params.m**f.params.n
     return cond, BoundReport(bound, math.floor(bound), best_t, ratios)
+
+
+# --- the threshold ------------------------------------------------------
+
+
+def scanned_threshold(d, m):
+    """One past the last failing length in d..max(100, 10d), or d if none fails."""
+    fails = [n for n in range(d, max(100, 10 * d) + 1) if not check_n(n, d, m).passed]
+    return fails[-1] + 1 if fails else d

@@ -142,6 +142,28 @@ def test_bound_non_utf8_file_exits_2(runner, tmp_path):
     assert result.stderr.startswith(f"error: cannot decode {path}: ")
 
 
+# Nesting deeper than the recursion limit makes json.load raise RecursionError.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_bound_deeply_nested_json_exits_2(runner, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    result = runner.invoke(main, ["bound", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: malformed JSON in {path}: ")
+
+
+def test_bound_witness_with_deep_extra_key_exits_2(runner, witness_file, tmp_path):
+    with open(witness_file) as handle:
+        doc = json.load(handle)
+    path = tmp_path / "deep_extra.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "extra": ' + "[" * 3000 + "]" * 3000 + "}")
+    result = runner.invoke(main, ["bound", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: malformed JSON in {path}: ")
+
+
 # An integer past Python's 4,300-digit int-string limit, as a JSON number
 # (read by json) or inside a rational string (read by parse_rational).
 HUGE = "9" * 5000
@@ -204,7 +226,7 @@ def test_threshold_known_values(runner):
     doc = json.loads(result.output)
     assert doc["threshold"] == 9
     assert doc["stable_tail"] is True
-    assert doc["horizon"] == 100
+    assert doc["horizon"] == 9  # n0, the certified default
 
     result = runner.invoke(main, ["threshold", "--d", "6", "--m", "2", "--format", "json"])
     assert json.loads(result.output)["threshold"] == 9
@@ -216,14 +238,21 @@ def test_threshold_horizon_below_distance_exits_2(runner):
 
 
 def test_threshold_exhausted_horizon_exits_4(runner):
+    # n=4 fails for d=3 and n0 = 5: horizon 4 = n0 - 1 still proves N = 5,
+    # while horizon 3 leaves n=4 undecided.
     result = runner.invoke(main, ["threshold", "--d", "3", "--m", "2", "--horizon", "4"])
+    assert result.exit_code == 0
+    result = runner.invoke(main, ["threshold", "--d", "3", "--m", "2", "--horizon", "3"])
     assert result.exit_code == 4
+    assert "threshold N = 4" in result.stdout
+    assert result.stderr == "error: threshold 4 has no stable tail at horizon 3\n"
 
 
 def test_threshold_unstable_tail_exits_4_with_report(runner):
-    result = runner.invoke(main, ["threshold", "--d", "7", "--m", "2", "--horizon", "14"])
+    # d=7 has n0 = 14, so horizon 12 leaves the failing n=13 unscanned.
+    result = runner.invoke(main, ["threshold", "--d", "7", "--m", "2", "--horizon", "12"])
     assert result.exit_code == 4
-    assert "threshold N = 14" in result.output
+    assert "threshold N = 13" in result.output
     assert "stable_tail = false" in result.output
 
 
@@ -340,6 +369,14 @@ def test_macwilliams_non_utf8_file_exits_2(runner, tmp_path):
     assert result.stderr.startswith(f"error: cannot decode {path}: ")
 
 
+def test_macwilliams_deeply_nested_json_exits_2(runner, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    result = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: malformed JSON in {path}: ")
+
+
 @pytest.mark.parametrize(
     "text, prefix",
     [
@@ -420,14 +457,14 @@ def test_check_csv_approx_adds_columns(runner):
 
 
 def test_check_unstable_tail_exits_4_with_report(runner):
-    # d=7 first passes at n=14, so horizon 14 leaves no stable tail; the
-    # report still prints, and n >= N must not be trusted.
+    # d=7 has n0 = 14, so horizon 12 leaves n=13 undecided; the report
+    # still prints, and n >= N must not be trusted.
     result = runner.invoke(
-        main, ["check", "--n", "20", "--K", "2", "--d", "7", "--m", "2", "--horizon", "14"]
+        main, ["check", "--n", "20", "--K", "2", "--d", "7", "--m", "2", "--horizon", "12"]
     )
     assert result.exit_code == 4
-    assert "threshold N = 14 (horizon=14, stable_tail=false)" in result.stdout
-    assert result.stderr == "error: threshold 14 has no stable tail at horizon 14\n"
+    assert "threshold N = 13 (horizon=12, stable_tail=false)" in result.stdout
+    assert result.stderr == "error: threshold 13 has no stable tail at horizon 12\n"
 
 
 def test_check_bad_dimension_exits_2(runner):

@@ -6,6 +6,8 @@ temporary directory whose path appears as ``{tmp}`` in the arguments and in
 stderr.  Regenerate the file only for an intended output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints one line for each argument set whose entries changed.
 """
 import json
 import tempfile
@@ -45,12 +47,18 @@ _BASE = [
     ["check", "--n", "5", "--K", "0", "--d", "3", "--m", "2"],
 ]
 
-GRID = [
-    base + ["--format", fmt] + (["--approx"] if approx else [])
-    for base in _BASE
-    for fmt in ("text", "json", "csv")
-    for approx in (False, True)
-]
+
+
+def variants(base: list) -> list:
+    """``base`` in each format, with and without ``--approx``."""
+    return [
+        base + ["--format", fmt] + (["--approx"] if approx else [])
+        for fmt in ("text", "json", "csv")
+        for approx in (False, True)
+    ]
+
+
+GRID = [args for base in _BASE for args in variants(base)]
 
 
 def write_inputs(directory: Path) -> None:
@@ -104,8 +112,17 @@ def test_golden_output(args, inputs):
 
 
 if __name__ == "__main__":
+    old = _golden() if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
         entries = [run(args, Path(tmp)) for args in GRID]
+    new = {" ".join(e["args"]): e for e in entries}
+    for base in _BASE:
+        keys = [" ".join(args) for args in variants(base)]
+        fields = [{k for k, v in new[key].items() if old.get(key, {}).get(k) != v} for key in keys]
+        changed = [f for f in fields if f]
+        if changed:
+            print(f"{' '.join(base)}: {len(changed)} of {len(keys)} entries changed "
+                  f"({', '.join(sorted(set().union(*changed)))})")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

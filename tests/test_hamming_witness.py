@@ -13,9 +13,10 @@ from qhamming.exceptions import ConditionError, DomainError, HorizonError
 from qhamming.hamming_witness import (
     NVerdict,
     WitnessSpec,
+    _sign_values,
     _value_table,
+    certify_threshold,
     check_n,
-    default_horizon,
     find_threshold,
     hamming_rhs,
     singleton_rhs,
@@ -25,7 +26,7 @@ from qhamming.hamming_witness import (
 from qhamming.krawtchouk import KrawParams, _kraw_table
 from qhamming.lp_bound import dimension_bound
 
-from oracles import poly_eval, squared_partial_sums, witness_value
+from oracles import poly_eval, scanned_threshold, squared_partial_sums, witness_value
 
 
 def test_spec_derived_fields():
@@ -184,11 +185,6 @@ def test_check_n_domain_error():
         check_n(2, 3, 2)
 
 
-def test_default_horizon():
-    assert default_horizon(3) == 100
-    assert default_horizon(11) == 110
-
-
 def test_find_threshold_small_scan():
     report = find_threshold(3, 2, 60)
     assert report.threshold == 5
@@ -225,17 +221,93 @@ def test_find_threshold_argument_errors():
 
 
 def test_find_threshold_horizon_exhausted():
-    # n=4 fails for d=3, so a horizon of 4 has no passing tail at all.
-    with pytest.raises(HorizonError):
-        find_threshold(3, 2, 4)
+    # For d=3, n0 = 5 and n=4 fails.  A horizon ending on that failure
+    # still proves N = 5, since every n >= n0 passes; horizon 3 leaves
+    # n=4 undecided, and the report says so instead of raising.
+    report = find_threshold(3, 2, 4)
+    assert (report.threshold, report.stable_tail) == (5, True)
+    report = find_threshold(3, 2, 3)
+    assert (report.threshold, report.stable_tail) == (4, False)
 
 
 def test_find_threshold_flags_unstable_tail():
-    # d=7 passes first at n=14; with horizon 14 the trailing window of
-    # ceil(14/10) = 2 lengths still contains the failure at n=13.
-    report = find_threshold(7, 2, 14)
-    assert report.threshold == 14
+    # d=7 passes first at n=14 and n0 = 14, so horizon 12 leaves n=13
+    # undecided; horizon 13 = n0 - 1 proves N = 14.
+    report = find_threshold(7, 2, 12)
+    assert report.threshold == 13
     assert not report.stable_tail
+    assert find_threshold(7, 2, 13).stable_tail
+
+
+def test_certified_threshold_equals_scan_rule():
+    for m in range(2, 6):
+        for d in range(1, 16):
+            assert find_threshold(d, m).threshold == scanned_threshold(d, m), (d, m)
+
+
+@pytest.mark.slow
+def test_certified_threshold_equals_scan_rule_to_d41():
+    for m in range(2, 6):
+        for d in range(16, 42):
+            assert find_threshold(d, m).threshold == scanned_threshold(d, m), (d, m)
+
+
+def test_lengths_from_n0_to_5n0_pass():
+    for d, m in ((3, 2), (8, 3), (15, 5), (25, 2)):
+        n0 = certify_threshold(d, m)
+        assert all(check_n(n, d, m).passed for n in range(n0, 5 * n0 + 1)), (d, m)
+
+
+def test_c0_equals_g0_equals_ball():
+    # Both sides are polynomials in n of degree <= e, so agreeing at the
+    # e + 1 lengths 2e+1..3e+1 proves c_0 = g(0) = sum gamma^i C(n, i)
+    # for every n; at t = 0 the certified bound is then hamming_rhs.
+    for m in range(2, 6):
+        for e in range(13):
+            for n in range(2 * e + 1, 3 * e + 2):
+                g, c = _sign_values(n, e, m)
+                ball = sum((m * m - 1) ** i * comb(n, i) for i in range(e + 1))
+                assert g[0] == c[0] == ball, (n, e, m)
+
+
+def test_certificate_checks_degree_bound(monkeypatch):
+    # d=9 samples n = 9..22; one wrong value at the last sample leaves a
+    # nonzero difference of order 3e + 1.
+    real = hamming_witness._sign_values
+
+    def corrupt_last(n, e, m):
+        g, c = real(n, e, m)
+        if n == 22:
+            c[1] += 1
+        return g, c
+
+    monkeypatch.setattr(hamming_witness, "_sign_values", corrupt_last)
+    with pytest.raises(AssertionError, match="degree bound"):
+        certify_threshold(9, 2)
+
+
+def test_certificate_negative_top_difference_raises(monkeypatch):
+    # With g = 1 and c_0 = 1, D_1 = 1 - c_1 = 1 - (n-3)^2: positive at
+    # n = 3 but with Delta^2 = -2 forever, so no n0 exists and walking up
+    # would never end.
+    def fake(n, e, m):
+        return [1, 1, 1], [1, (n - 3) ** 2, 0]
+
+    monkeypatch.setattr(hamming_witness, "_sign_values", fake)
+    with pytest.raises(HorizonError):
+        certify_threshold(3, 2)
+    with pytest.raises(HorizonError):
+        find_threshold(3, 2)
+
+
+def test_certificate_requires_nonzero_partial_sums(monkeypatch):
+    # g(1) = n - 5 vanishes at n = 5, where D_1 = g(1)^2 >= 0 still
+    # holds; only the g(1)^2 - 1 >= 0 vector keeps n0 above 5.
+    def fake(n, e, m):
+        return [1, n - 5, 1], [1, 0, 0]
+
+    monkeypatch.setattr(hamming_witness, "_sign_values", fake)
+    assert certify_threshold(3, 2) == 6
 
 
 def test_threshold_report_json_shape():
@@ -340,11 +412,11 @@ def test_check_n_matches_generic_route():
 
 @pytest.mark.slow
 def test_check_n_matches_generic_route_full_grid():
-    # Every length find_threshold scans for d <= 25; about three minutes.
+    # Every length the old scan horizon max(100, 10d) covered for d <= 25.
     for m in range(2, 6):
-        for n in range(1, default_horizon(25) + 1):
+        for n in range(1, 251):
             for d in range(1, min(25, n) + 1):
-                if n <= default_horizon(d):
+                if n <= max(100, 10 * d):
                     _assert_matches_generic(n, d, m)
             _kraw_table.cache_clear()
 
