@@ -221,7 +221,7 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
 
 
 def certify_threshold(d: int, m: int) -> int:
-    """Least n0 >= d such that every length n >= n0 passes (for d >= 1).
+    """Least n0 >= d where forward differences prove every n >= n0 passes (d >= 1).
 
     Each polynomial p of the module docstring has
     p(n0 + x) = sum_k Delta^k p(n0) C(x, k), so p >= 0 at every n >= n0

@@ -48,7 +48,6 @@ _BASE = [
 ]
 
 
-
 def variants(base: list) -> list:
     """``base`` in each format, with and without ``--approx``."""
     return [
