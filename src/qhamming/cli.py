@@ -95,18 +95,16 @@ def _is_exact(value) -> bool:
     return isinstance(value, Fraction)
 
 
-def _with_approx(rows: list[dict]) -> list[dict]:
+def _with_approx(rows: list[dict], table=()) -> list[dict]:
     """Rows with a ``<key>_approx`` appended for each key exact in some row.
 
-    A value that is itself a list of rows gets its own companions.
+    A value equal to ``table``, the CSV rows that a JSON object may nest,
+    gets its own companions.
     """
     keys = [k for k in rows[0] if any(_is_exact(row[k]) for row in rows)]
     out = []
     for row in rows:
-        row = {
-            k: _with_approx(v) if isinstance(v, list) and v and isinstance(v[0], dict) else v
-            for k, v in row.items()
-        }
+        row = {k: _with_approx(v) if v == table else v for k, v in row.items()}
         row.update((f"{k}_approx", _approx(row[k])) for k in keys)
         out.append(row)
     return out
@@ -117,25 +115,33 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
 
     ``text`` holds lines, each a string or a tuple of parts; a rational
     part takes a ``(~decimal)`` suffix under ``approx``.  ``obj`` is the
-    JSON object and ``rows`` (never empty) the CSV table.
+    JSON object and ``rows`` (never empty) the CSV table.  The whole
+    output is rendered before any of it is written, so that a number past
+    Python's int-string digit limit exits 2 with nothing on stdout.
     """
-    if fmt == "text":
-        for line in text:
-            parts = (line,) if isinstance(line, str) else line
-            click.echo("".join(
-                f"{p} (~{approx_decimal(p)})" if approx and isinstance(p, Fraction) else _cell(p)
-                for p in parts
-            ))
-    elif fmt == "json":
-        click.echo(json.dumps(to_wire(_with_approx([obj])[0] if approx else obj), indent=2))
-    else:
-        if approx:
-            rows = _with_approx(rows)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0])
-        writer.writerows([_cell(v) for v in row.values()] for row in rows)
-        click.echo(buf.getvalue(), nl=False)
+    try:
+        if fmt == "text":
+            lines = []
+            for line in text:
+                parts = (line,) if isinstance(line, str) else line
+                lines.append("".join(
+                    f"{p} (~{approx_decimal(p)})" if approx and isinstance(p, Fraction) else _cell(p)
+                    for p in parts
+                ) + "\n")
+            out = "".join(lines)
+        elif fmt == "json":
+            out = json.dumps(to_wire(_with_approx([obj], rows)[0] if approx else obj), indent=2) + "\n"
+        else:
+            if approx:
+                rows = _with_approx(rows)
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(rows[0])
+            writer.writerows([_cell(v) for v in row.values()] for row in rows)
+            out = buf.getvalue()
+    except ValueError as exc:  # an integer past the int-string digit limit
+        _fail(2, f"result too large to print: {exc}")
+    click.echo(out, nl=False)
 
 
 def _require_stable_tail(report: ThresholdReport) -> None:
@@ -226,7 +232,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
             bound=report.bound,
             bound_floor=report.bound_floor,
             argmax_t=report.argmax_t,
-            ratios=[{"t": t, "ratio": str(r)} for t, r in report.ratios],
+            ratios=[{"t": t, "ratio": r} for t, r in report.ratios],
         )
         rows = [
             {"t": t, "coeff": str(Fraction(poly.coeffs[t])), "ratio": r, "bound": report.bound,

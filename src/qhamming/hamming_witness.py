@@ -1,45 +1,34 @@
 """The squared-partial-sum witness and Hamming-bound length thresholds.
 
-For distance d let e = floor((d-1)/2).  The witness polynomial has
-coefficients
-
-    f_t = g(t)^2,   g(t) = P_0(t) + P_1(t) + ... + P_e(t),
-
-and, expanded through the product linearization (``linearization_terms``)
-and orthogonality, the closed-form values
-
-    f(t) = q^n sum_{i,j<=e} sum_s C(t, 2t+2s-i-j) C(n-t, s)
-                 C(2t+2s-i-j, t+s-j) (gamma-1)^(i+j-2s-t) gamma^s
-
-with q = m^2.  The value vanishes for every t > 2e, which is why the
-same witness and index set S = {0..2e} serve both d = 2e+1 and
-d = 2e+2, forcing equal thresholds for the two parities.
+For distance d let e = floor((d-1)/2), q = m^2 and gamma = q - 1.  The
+witness has coefficients f_t = g(t)^2, where g(t) = P_0(t) + ... + P_e(t)
+is the Krawtchouk transform of the Hamming ball of radius e.  Squaring a
+transform convolves what it transforms, so f(t) = q^n c_t(n), where
+c_t(n) counts the words of length n within distance e of both of two
+words at distance t.  Such balls are disjoint once t > 2e, so the same
+witness and index set S = {0..2e} serve d = 2e+1 and d = 2e+2, forcing
+equal thresholds for the two parities.  At t = 0 the two words coincide
+and c_0(n) = sum_{i<=e} gamma^i C(n, i) is the ball itself.
 
 When the ratio f(t)/f_t over S is maximized at t = 0, the certified
-dimension bound collapses to the sphere-packing (Hamming) right-hand
-side m^n / sum_{j<=e} gamma^j C(n,j) exactly.  ``find_threshold``
-proves the least N from which that holds at every length.  For n >= d
-it holds iff g(t) != 0 and D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for
-t = 1..2e, with c_t = f(t)/q^n; g(t)^2 - 1 and D_t are polynomials in n
-of degree <= 3e, and ``certify_threshold`` finds the least n0 where all
-their forward differences are >= 0, which proves every n >= n0.  The
-scan decides the lengths below n0 one by one.
+dimension bound is therefore the sphere-packing (Hamming) right-hand
+side m^n / c_0(n).  For n >= d that holds iff g(t) != 0 and
+D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for t = 1..2e.  g(t)^2 - 1 and D_t
+are polynomials in n of degree <= 3e; ``certify_threshold`` finds the
+least n0 where all their forward differences are >= 0, which proves
+every n >= n0, and ``find_threshold`` decides the lengths below n0 from
+the certificate's own samples, evaluating each length once.
 
-``check_n`` decides one length with O(e^2) exact integer operations
-and never builds a Krawtchouk table.  Outside S both sign conditions
-hold by construction: f_t = g(t)^2 is never negative, and f(t) = 0 for
-t > 2e because linearization coefficients vanish above degree i + j.
-So only t in S matter.  There f(t)/q^n = sum_{s<=e} B[t][s] C(n-t, s),
-where the table B (``_value_table``) is the n-free part of the closed
-form above, built once per (e, m).  The generic route, ``witness_coeffs``
-with ``lp_bound.dimension_bound``, gives the same verdict over every
-t in 0..n; the tests hold the two to each other.
-
-Both routes take g from one kernel, ``_partial_sums``: the column sums
-of the degree recurrence ``kraw_recurrence``, at the points of S for
-``check_n`` and at 0..n for ``witness_coeffs``.  The independent routes
-that cross-check them (the defining sums, the closed forms and the
-orthogonality extraction) live in ``tests/oracles.py``.
+``check_n`` decides one length with O(e^2) integer operations and no
+Krawtchouk table.  Outside S both sign conditions hold by construction
+(f_t = g(t)^2 >= 0 and f(t) = 0), and on S
+c_t(n) = sum_{s<=e} B[t][s] C(n-t, s) with the n-free count table B of
+``_value_table``.  The generic route, ``witness_coeffs`` with
+``lp_bound.dimension_bound``, gives the same verdict over every t in
+0..n.  Both take g from ``_partial_sums``, the column sums of the degree
+recurrence ``kraw_recurrence``.  The independent routes that cross-check
+them (the defining sums, the closed forms, product linearization and
+the orthogonality extraction) live in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -88,43 +77,25 @@ def witness_coeffs(spec: WitnessSpec) -> KBasisPoly:
     return KBasisPoly(p, tuple(g**2 for g in _partial_sums(spec.e, range(p.n + 1), p)))
 
 
-def linearization_terms(i: int, j: int, k: int, m: int) -> tuple[int, ...]:
-    """The part of the coefficient of P_k in P_i P_j that is free of n.
-
-    The product of two family members has an exact expansion
-    P_i P_j = sum_k c_k P_k with nonnegative integer coefficients
-    c_k = sum_s terms[s] * C(n-k, s), where
-
-        terms[s] = C(k, 2k+2s-i-j) C(2k+2s-i-j, k+s-j)
-                   * (gamma-1)^(i+j-2s-k) * gamma^s,   gamma = m^2 - 1.
-
-    The first binomial vanishes once 2k+2s-i-j > k, so s stops at
-    floor((i+j-k)/2), where the exponent of gamma-1 is still
-    nonnegative; for k > i+j there are no terms at all.
-    """
-    g = m * m - 1
-    w = g - 1
-    terms = []
-    for s in range((i + j - k) // 2 + 1):
-        b1 = 2 * k + 2 * s - i - j
-        c = binomial(k, b1) * binomial(b1, k + s - j)
-        terms.append(c * w ** (i + j - 2 * s - k) * g**s if c else 0)
-    return tuple(terms)
-
-
 @lru_cache(maxsize=128)
 def _value_table(e: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """B[t][s] for t in 0..2e, s in 0..e: f(t)/q^n = sum_s B[t][s] C(n-t, s).
+    """B[t][s] for t in 0..2e, s in 0..e: c_t(n) = sum_s B[t][s] C(n-t, s).
 
-    Sums ``linearization_terms`` over i, j <= e; no entry depends on n.
+    A word within distance e of both x and y, at distance t apart,
+    differs from both at s of the n - t places where they agree (gamma
+    choices each).  Of the t places where they differ, it agrees with x
+    at a, with y at b and with neither at the rest (q - 2 choices each).
+    Its distances s + t - a and s + t - b are both <= e iff
+    a, b >= t + s - e.  No entry depends on n.
     """
+    g = m * m - 1
     table = []
     for t in range(2 * e + 1):
-        row = [0] * (e + 1)
-        for i in range(e + 1):
-            for j in range(e + 1):
-                for s, a in enumerate(linearization_terms(i, j, t, m)):
-                    row[s] += a
+        row = []
+        for s in range(e + 1):
+            lo = max(0, t + s - e)
+            row.append(g**s * sum(binomial(t, a) * binomial(t - a, b) * (g - 1) ** (t - a - b)
+                                  for a in range(lo, t + 1) for b in range(lo, t - a + 1)))
         table.append(tuple(row))
     return tuple(table)
 
@@ -196,6 +167,22 @@ def _sign_values(n: int, e: int, m: int) -> tuple[list[int], list[int]]:
     return g, [sum(b * binomial(n - t, s) for s, b in enumerate(B[t])) for t in S]
 
 
+def _verdict(n: int, d: int, m: int, g: list[int], c: list[int]) -> NVerdict:
+    """The verdict at length n from ``_sign_values(n, e, m)``."""
+    mn = m**n
+    hamming = Fraction(mn, c[0])  # c_0 is the ball, so this is hamming_rhs
+    if not all(g):
+        return NVerdict(n, d, m, False, False, None, None, hamming)
+    # f(t)/f_t = q^n c[t] / g[t]^2 with g[t]^2 > 0, so compare by cross
+    # multiplication; a strict > keeps the smallest index on ties.
+    best = 0
+    for t in range(1, len(g)):
+        if c[t] * g[best] ** 2 > c[best] * g[t] ** 2:
+            best = t
+    bound = Fraction(mn * c[best], g[best] ** 2)
+    return NVerdict(n, d, m, best == 0, True, best, bound, hamming)
+
+
 def check_n(n: int, d: int, m: int) -> NVerdict:
     """Does the witness certify the Hamming bound at length n?
 
@@ -206,18 +193,7 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
     gives; see the module docstring for the method.
     """
     spec = WitnessSpec(d, KrawParams(n, m))
-    rhs = hamming_rhs(n, d, m)
-    g, c = _sign_values(n, spec.e, m)
-    if not all(g):
-        return NVerdict(n, d, m, False, False, None, None, rhs)
-    # f(t)/f_t = q^n c[t] / g[t]^2 with g[t]^2 > 0, so compare by cross
-    # multiplication; a strict > keeps the smallest index on ties.
-    best = 0
-    for t in range(1, len(g)):
-        if c[t] * g[best] ** 2 > c[best] * g[t] ** 2:
-            best = t
-    bound = Fraction(m**n * c[best], g[best] ** 2)
-    return NVerdict(n, d, m, best == 0, True, best, bound, rhs)
+    return _verdict(n, d, m, *_sign_values(n, spec.e, m))
 
 
 def certify_threshold(d: int, m: int) -> int:
@@ -231,18 +207,22 @@ def certify_threshold(d: int, m: int) -> int:
     ``HorizonError`` when a top nonzero difference is negative: that p
     is negative at every large n, so no n0 exists.
     """
+    return _certify(d, m)[0]
+
+
+def _certify(d: int, m: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """``certify_threshold``'s n0 and the (g, c) it sampled at n = d, d+1, ..."""
     e = (d - 1) // 2
-    rows = []
-    for n in range(d, d + 3 * e + 2):
-        g, c = _sign_values(n, e, m)
-        rows.append([x * x - 1 for x in g[1:]]
-                    + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])])
+    samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
+    rows = [[x * x - 1 for x in g[1:]]
+            + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])]
+            for g, c in samples]
     vectors = []
-    for samples in map(list, zip(*rows)):
+    for column in map(list, zip(*rows)):
         diffs = []
-        while samples:
-            diffs.append(samples[0])
-            samples = [b - a for a, b in zip(samples, samples[1:])]
+        while column:
+            diffs.append(column[0])
+            column = [b - a for a, b in zip(column, column[1:])]
         if diffs.pop():
             raise AssertionError(f"degree bound 3e fails for d={d}, m={m}")
         if next((x for x in reversed(diffs) if x), 0) < 0:
@@ -254,7 +234,7 @@ def certify_threshold(d: int, m: int) -> int:
             for k in range(len(v) - 1):
                 v[k] += v[k + 1]
         n0 += 1
-    return n0
+    return n0, samples
 
 
 @dataclass(frozen=True)
@@ -286,19 +266,23 @@ class ThresholdReport:
 def find_threshold(d: int, m: int, horizon: Optional[int] = None) -> ThresholdReport:
     """Least N from which every length passes, with the scan behind it.
 
-    ``certify_threshold`` proves that every n >= n0 passes; ``check_n``
-    decides n = d..horizon (default n0), and N is one past the last
-    failure (d when none fails).  ``stable_tail`` is true when
-    horizon >= n0 - 1, so that N is proved; a shorter explicit horizon
-    leaves the lengths in between undecided and the report unproved.
+    ``certify_threshold`` proves that every n >= n0 passes, and each of
+    n = d..horizon (default n0) gets one verdict: the certificate's
+    samples serve the lengths they cover, and only the lengths past them
+    are evaluated anew.  N is one past the last failure (d when none
+    fails).  ``stable_tail`` is true when horizon >= n0 - 1, so that N
+    is proved; a shorter explicit horizon leaves the lengths in between
+    undecided and the report unproved.
     """
     if d < 1:
         raise DomainError(f"distance d must be >= 1, got {d}")
     if horizon is not None and horizon < d:
         raise DomainError(f"horizon must be >= d = {d}, got {horizon}")
-    n0 = certify_threshold(d, m)
+    n0, samples = _certify(d, m)
     horizon = n0 if horizon is None else horizon
-    verdicts = tuple(check_n(n, d, m) for n in range(d, horizon + 1))
+    e = (d - 1) // 2
+    samples += [_sign_values(n, e, m) for n in range(d + len(samples), horizon + 1)]
+    verdicts = tuple(_verdict(n, d, m, g, c) for n, (g, c) in zip(range(d, horizon + 1), samples))
     last_fail = max((v.n for v in verdicts if not v.passed), default=None)
     threshold = d if last_fail is None else last_fail + 1
     return ThresholdReport(d, m, horizon, threshold, horizon >= n0 - 1, verdicts)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -472,6 +473,53 @@ def test_check_bad_dimension_exits_2(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["check", "--n", "5", "--K", "0", "--d", "3", "--m", "2"])
     assert result.exit_code == 2
+
+
+# --- results past the int-string digit limit -----------------------------
+
+
+@pytest.fixture()
+def digit_limit():
+    """Python's smallest int-string limit, 640 digits, so that short runs pass it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _assert_too_large(result):
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: result too large to print: ")
+
+
+def test_check_result_past_digit_limit_exits_2(runner):
+    # At the default limit: hamming_rhs = 2^15000 / 45001 has a 4,516-digit numerator.
+    args = ["check", "--n", "15000", "--K", "2", "--d", "3", "--m", "2"]
+    _assert_too_large(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_threshold_result_past_digit_limit_exits_2(runner, digit_limit, fmt):
+    # The rows up to n = 2200 print before the first one past 640 digits.
+    args = ["threshold", "--d", "3", "--m", "2", "--horizon", "2200", "--format", fmt]
+    _assert_too_large(runner.invoke(main, args))
+
+
+def test_kraw_result_past_digit_limit_exits_2(runner, digit_limit):
+    # P_1100(0) = 3^1100 C(2200, 1100) has 1,186 digits.
+    args = ["kraw", "--k", "1100", "--x", "0", "--n", "2200", "--m", "2", "--approx"]
+    _assert_too_large(runner.invoke(main, args))
+
+
+def test_bound_ratio_past_digit_limit_exits_2(runner, digit_limit, tmp_path):
+    # Coefficients A/B and 1/D of about 400 digits each give the ratio
+    # f(0)/f_0 = (AD + 3B)/(AD), 800 digits over 800.
+    A, B, D = 10**400 + 1, 10**400 + 3, 10**399 + 7
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"n": 1, "m": 2, "S": [0, 1], "coeffs": [f"{A}/{B}", f"1/{D}"]}))
+    for fmt in ("text", "json", "csv"):
+        _assert_too_large(runner.invoke(main, ["bound", str(path), "--format", fmt]))
 
 
 # --- cross-cutting ------------------------------------------------------

@@ -1,0 +1,123 @@
+"""Fuzzing the exit-code contract: every invocation exits 0, 2, 3 or 4.
+
+Random small argument vectors go to ``kraw``, ``check``, ``threshold`` and
+``table1``; random JSON documents go to ``bound`` and ``macwilliams``.
+Whatever the input, the CLI must answer with one of the documented exit
+codes and never end in a traceback.
+"""
+import json
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qhamming.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+
+# Upper bounds of the integer options, small enough that a run stays fast.
+OPTIONS = {
+    "kraw": {"--k": 60, "--x": 60, "--n": 60, "--m": 6},
+    "check": {"--n": 60, "--d": 15, "--m": 6, "--horizon": 80},
+    "threshold": {"--d": 15, "--m": 6, "--horizon": 80},
+    "table1": {"--max-d": 15, "--m": 6, "--horizon": 80},
+}
+
+_garbage = st.text(max_size=4)
+_small_rationals = st.from_regex(r"[+-]?\d{1,3}(/[1-9]\d{0,2})?", fullmatch=True)
+_output = st.tuples(
+    st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]]),
+    st.sampled_from([[], ["--approx"]]),
+).map(lambda pair: pair[0] + pair[1])
+
+
+@st.composite
+def _rational_strings(draw):
+    """Signed digit strings of up to 5,000 digits, some split by a slash."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=5000))
+    cut = draw(st.integers(0, len(digits) - 1))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    return sign + (digits[:cut] + "/" + digits[cut:] if cut else digits)
+
+
+@st.composite
+def _argv(draw):
+    """Every option of one command, then maybe one of them dropped or garbled."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    pairs = [[option, str(draw(st.integers(-1, top)))] for option, top in OPTIONS[command].items()]
+    if command == "check":
+        pairs.append(["--K", draw(_small_rationals)])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = draw(st.sampled_from([[], [pairs[i][0], draw(_garbage)]]))
+    return [command] + [arg for pair in pairs for arg in pair] + draw(_output)
+
+
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(), st.text(max_size=4),
+              _rational_strings()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _documents(draw, fields):
+    """A witness or distribution document, maybe with one field replaced or dropped.
+
+    ``fields`` maps each name beyond n and m to a function from the length
+    n to a strategy of plausible values.  One document in ten is any JSON.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_json)
+    n = draw(st.integers(-1, 12))
+    doc = {"n": n, "m": draw(st.integers(-1, 6))}
+    doc.update((name, draw(make(n))) for name, make in fields.items())
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(doc)))
+        doc[name] = draw(_json)
+        if draw(st.booleans()):
+            del doc[name]
+    return doc
+
+
+def _rationals(n):
+    """n + 1 rational strings (or another count), one in ten up to 5,000 digits."""
+    entry = st.one_of(*[_small_rationals] * 9, _rational_strings())
+    size = st.one_of(st.just(max(n + 1, 0)), st.integers(0, 14))
+    return size.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+
+
+WITNESS = {"S": lambda n: st.lists(st.integers(-1, n + 1), max_size=n + 3),
+           "coeffs": _rationals}
+DISTRIBUTION = {"K": lambda n: st.one_of(_small_rationals, _rational_strings()),
+                "A": _rationals}
+
+
+def _assert_contract(result, argv):
+    assert result.exit_code in EXIT_CODES, (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, result.exception)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_option_vectors_keep_exit_contract(argv):
+    _assert_contract(CliRunner().invoke(main, argv), argv)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.one_of(
+    st.tuples(st.just(["bound"]), _documents(WITNESS)),
+    st.tuples(st.sampled_from([["macwilliams", "--direction", "forward"],
+                               ["macwilliams", "--direction", "inverse"]]),
+              _documents(DISTRIBUTION)),
+), _output)
+def test_documents_keep_exit_contract(tmp_path, case, output):
+    command, doc = case
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = command + [str(path)] + output
+    _assert_contract(CliRunner().invoke(main, argv), argv)

@@ -428,16 +428,38 @@ def test_scan_builds_no_krawtchouk_table():
 
 
 def test_value_table_reproduces_closed_form():
-    for n in range(1, 13):
-        for m in (2, 3, 5):
-            for d in range(1, n + 1):
-                spec = WitnessSpec(d, KrawParams(n, m))
-                B = _value_table(spec.e, m)
-                assert len(B) == 2 * spec.e + 1
-                for t, row in enumerate(B):
-                    assert len(row) == spec.e + 1
+    # Row t of the count table and the oracle's closed form are both
+    # polynomials in n of degree <= e - ceil(t/2) (a, b >= t + s - e with
+    # a + b <= t, and the binomial support of product_coeff), so agreeing
+    # at that many lengths plus one proves the row for every n.
+    for m in range(2, 6):
+        for e in range(13):
+            B = _value_table(e, m)
+            assert len(B) == 2 * e + 1
+            for t, row in enumerate(B):
+                deg = e - (t + 1) // 2
+                assert len(row) == e + 1 and not any(row[deg + 1:]), (t, e, m)
+                for n in range(2 * e + 1, 2 * e + deg + 2):
+                    spec = WitnessSpec(2 * e + 1, KrawParams(n, m))
                     value = sum(b * comb(n - t, s) for s, b in enumerate(row))
-                    assert spec.params.q**n * value == witness_value(t, spec)
+                    assert spec.params.q**n * value == witness_value(t, spec), (n, t, e, m)
+
+
+def test_scan_evaluates_each_length_once(monkeypatch):
+    # The certificate's samples serve the scan; only lengths past them
+    # are evaluated again.  d = 25 samples n = 25..62.
+    real = hamming_witness._sign_values
+    lengths = []
+
+    def counting(n, e, m):
+        lengths.append(n)
+        return real(n, e, m)
+
+    monkeypatch.setattr(hamming_witness, "_sign_values", counting)
+    for m, horizon, calls in ((2, None, 38), (5, None, 38), (2, 80, 56)):
+        lengths.clear()
+        find_threshold(25, m, horizon)
+        assert len(lengths) == len(set(lengths)) == calls, (m, horizon)
 
 
 def test_check_n_zero_partial_sum_fails_conditions(monkeypatch):

@@ -1,13 +1,12 @@
-"""Product linearization: the engine's n-free terms and the oracles' closed form."""
+"""The oracles' product linearization and orthogonality extraction."""
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhamming.hamming_witness import linearization_terms
-from qhamming.krawtchouk import KrawParams, binomial, kraw_table
+from qhamming.krawtchouk import KrawParams, kraw_table
 
-from oracles import kbasis_extract, linearize_product, product_coeff
+from oracles import kbasis_extract, linearize_product
 
 
 def test_degree_zero_factor_gives_unit_row():
@@ -48,16 +47,6 @@ def test_support_bounds():
                             assert coeffs[k] == 0, (n, m, i, j, k)
 
 
-def test_terms_stop_at_binomial_support():
-    # s runs to floor((i+j-k)/2); above degree i+j there are no terms.
-    for m in (2, 3):
-        for i in range(6):
-            for j in range(6):
-                for k in range(i + j + 3):
-                    terms = linearization_terms(i, j, k, m)
-                    assert len(terms) == max(0, (i + j - k) // 2 + 1)
-
-
 def test_symmetry_in_the_two_degrees():
     p = KrawParams(6, 3)
     for i in range(7):
@@ -77,20 +66,6 @@ def test_pointwise_equivalence_small_sweep():
                         lhs = table[i][x] * table[j][x]
                         rhs = sum(c * table[k][x] for k, c in enumerate(coeffs))
                         assert lhs == rhs
-
-
-def test_terms_times_binomials_give_closed_form():
-    # The engine's n-free terms, completed with C(n-k, s), against the
-    # oracle's closed double-binomial sum.
-    for n in range(1, 9):
-        for m in (2, 3, 5):
-            p = KrawParams(n, m)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    for k in range(n + 1):
-                        terms = linearization_terms(i, j, k, m)
-                        value = sum(a * binomial(n - k, s) for s, a in enumerate(terms))
-                        assert value == product_coeff(i, j, k, p), (n, m, i, j, k)
 
 
 def test_extract_basis_rows_give_unit_vectors():
