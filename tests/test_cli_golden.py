@@ -33,17 +33,16 @@ _BASE = [
     ["bound", "{tmp}/witness_d5_broken.json"],
     ["bound", "{tmp}/malformed.json"],
     ["threshold", "--d", "5", "--m", "2"],
-    ["threshold", "--d", "4", "--m", "3", "--horizon", "40"],
-    ["threshold", "--d", "9", "--m", "2", "--horizon", "20"],
-    ["threshold", "--d", "9", "--m", "2", "--horizon", "12"],
+    ["threshold", "--d", "4", "--m", "3"],
+    ["threshold", "--d", "9", "--m", "2"],
     ["table1", "--max-d", "7", "--m", "2"],
     ["table1", "--max-d", "5", "--m", "3"],
-    ["table1", "--max-d", "9", "--m", "2", "--horizon", "20"],
+    ["table1", "--max-d", "9", "--m", "2"],
     ["macwilliams", "--direction", "forward", "{tmp}/dist.json"],
     ["macwilliams", "--direction", "inverse", "{tmp}/dist.json"],
     ["check", "--n", "5", "--K", "2", "--d", "3", "--m", "2"],
     ["check", "--n", "7", "--K", "5/3", "--d", "3", "--m", "2"],
-    ["check", "--n", "33", "--K", "2", "--d", "21", "--m", "5", "--horizon", "32"],
+    ["check", "--n", "33", "--K", "2", "--d", "21", "--m", "5"],
     ["check", "--n", "5", "--K", "0", "--d", "3", "--m", "2"],
 ]
 
