@@ -5,10 +5,10 @@ Exit codes are a stable contract:
     0   success
     2   usage, parse, or domain errors
     3   witness sign conditions failed (report still printed)
-    4   threshold not proved within an explicit ``--horizon``
+    4   no threshold exists: the witness fails at every large length
 
-Library errors become codes 2 and 4 in one place, ``_Main.invoke``.  A
-subcommand exits 3 or 4 itself only after printing its report.
+Library errors become codes 2 and 4 in one place, ``_Main.invoke``.
+``bound`` exits 3 itself, after printing its report.
 
 Each subcommand computes its result and describes it once, with exact
 values (``Fraction``, ``int``, ``bool``, ``None``), as text lines, a
@@ -24,14 +24,14 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import NoReturn, Optional
+from typing import NoReturn
 
 import click
 
 from . import __version__
 from .enumerators import distribution_from_dict, mw_forward, mw_inverse
 from .exceptions import ConditionError, DomainError, HorizonError, SchemaError
-from .hamming_witness import ThresholdReport, find_threshold, hamming_rhs, singleton_rhs
+from .hamming_witness import find_threshold, hamming_rhs, singleton_rhs
 from .krawtchouk import KrawParams, kraw_eval
 from .lp_bound import ConditionReport, dimension_bound, witness_from_dict
 from .rational import approx_decimal, parse_rational, to_wire
@@ -49,10 +49,6 @@ def _output_options(func):
         help="Append decimal approximations next to exact rationals.",
     )(func)
     return func
-
-
-_horizon_option = click.option("--horizon", type=int,
-                               help="Largest length scanned. [default: the certified n0]")
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -142,11 +138,6 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
     except ValueError as exc:  # an integer past the int-string digit limit
         _fail(2, f"result too large to print: {exc}")
     click.echo(out, nl=False)
-
-
-def _require_stable_tail(report: ThresholdReport) -> None:
-    if not report.stable_tail:
-        _fail(4, f"threshold {report.threshold} has no stable tail at horizon {report.horizon}")
 
 
 class _Main(click.Group):
@@ -247,16 +238,15 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
 @main.command()
 @click.option("--d", type=int, required=True, help="Minimum distance.")
 @click.option("--m", type=int, required=True, help="Levels per system.")
-@_horizon_option
 @_output_options
-def threshold(d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
+def threshold(d: int, m: int, fmt: str, approx: bool) -> None:
     """Find and prove the least length N from which every length passes."""
-    report = find_threshold(d, m, horizon)
+    report = find_threshold(d, m)
     rows = [v.exact_dict() for v in report.per_n]
     text = [
         f"d={report.d} m={report.m} horizon={report.horizon}",
         f"threshold N = {report.threshold}",
-        ("stable_tail = ", report.stable_tail),
+        "stable_tail = true",
         f"note: scanned n in [{report.d}, {report.horizon}]; with a stable tail every "
         "longer length is proved to pass, so the threshold is proved",
         "   " + "  ".join(rows[0]),
@@ -268,22 +258,19 @@ def threshold(d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) ->
         for v in report.per_n
     ]
     _emit(fmt, approx, text, report.exact_dict(), rows)
-    _require_stable_tail(report)
 
 
 @main.command()
 @click.option("--max-d", "max_d", type=int, required=True, help="Largest (odd) distance.")
 @click.option("--m", type=int, required=True, help="Levels per system.")
-@_horizon_option
 @_output_options
-def table1(max_d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
+def table1(max_d: int, m: int, fmt: str, approx: bool) -> None:
     """Tabulate thresholds N(d, m) for odd distances d = 1, 3, ..., max-d."""
     if max_d < 1:
         _fail(2, f"--max-d must be >= 1, got {max_d}")
-    reports = [find_threshold(d, m, horizon) for d in range(1, max_d + 1, 2)]
+    reports = [find_threshold(d, m) for d in range(1, max_d + 1, 2)]
     rows = [
-        {"d": rep.d, "threshold": rep.threshold, "horizon": rep.horizon,
-         "stable_tail": rep.stable_tail}
+        {"d": rep.d, "threshold": rep.threshold, "horizon": rep.horizon, "stable_tail": True}
         for rep in reports
     ]
     text = ["d  N"] + [f"{rep.d}  {rep.threshold}" for rep in reports]
@@ -291,8 +278,6 @@ def table1(max_d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -
         text.append(f"note: no published reference values for m={m}; computed by direct scan")
     obj = {"m": m, "reference_values_published": m == 2, "rows": rows}
     _emit(fmt, approx, text, obj, rows)
-    if any(not rep.stable_tail for rep in reports):
-        _fail(4, "at least one distance lacks a stable tail, so its threshold is not proved")
 
 
 @main.command()
@@ -318,16 +303,15 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 @click.option("--K", "dim", type=str, required=True, help="Code dimension (rational string).")
 @click.option("--d", type=int, required=True, help="Minimum distance.")
 @click.option("--m", type=int, required=True, help="Levels per system.")
-@_horizon_option
 @_output_options
-def check(n: int, dim: str, d: int, m: int, horizon: Optional[int], fmt: str, approx: bool) -> None:
+def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
     """Test parameters (n, K, d, m) against the Hamming and Singleton bounds."""
     K = parse_rational(dim)
     if K <= 0:
         _fail(2, f"--K must be positive, got {dim}")
     h = hamming_rhs(n, d, m)
     s = singleton_rhs(n, d, m)
-    report = find_threshold(d, m, horizon)
+    report = find_threshold(d, m)
     beyond = n >= report.threshold
     row = {
         "n": n,
@@ -342,7 +326,7 @@ def check(n: int, dim: str, d: int, m: int, horizon: Optional[int], fmt: str, ap
         "singleton_equality": K == s,
         "threshold": report.threshold,
         "horizon": report.horizon,
-        "stable_tail": report.stable_tail,
+        "stable_tail": True,
         "n_at_or_beyond_threshold": beyond,
     }
     text = [
@@ -351,13 +335,11 @@ def check(n: int, dim: str, d: int, m: int, horizon: Optional[int], fmt: str, ap
         f"hamming: {_verdict_word(K, h)}",
         ("singleton_rhs = ", s),
         f"singleton: {_verdict_word(K, s)}",
-        (f"threshold N = {report.threshold} (horizon={report.horizon}, stable_tail=",
-         report.stable_tail, ")"),
+        f"threshold N = {report.threshold} (horizon={report.horizon}, stable_tail=true)",
         "n >= N: yes; the hamming bound applies to every code at this length" if beyond
         else "n >= N: no; below the threshold only the singleton bound is unconditional",
     ]
     _emit(fmt, approx, text, row, [row])
-    _require_stable_tail(report)
 
 
 def _verdict_word(K: Fraction, rhs: Fraction) -> str:

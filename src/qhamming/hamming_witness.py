@@ -14,10 +14,10 @@ When the ratio f(t)/f_t over S is maximized at t = 0, the certified
 dimension bound is therefore the sphere-packing (Hamming) right-hand
 side m^n / c_0(n).  For n >= d that holds iff g(t) != 0 and
 D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for t = 1..2e.  g(t)^2 - 1 and D_t
-are polynomials in n of degree <= 3e; ``certify_threshold`` finds the
-least n0 where all their forward differences are >= 0, which proves
-every n >= n0, and ``find_threshold`` decides the lengths below n0 from
-the certificate's own samples, evaluating each length once.
+are polynomials in n of degree <= 3e; ``_certify`` finds the least n0
+where all their forward differences are >= 0, which proves every
+n >= n0, and ``find_threshold`` decides the lengths d..n0 from the
+certificate's own samples, evaluating each length once.
 
 ``check_n`` decides one length with O(e^2) integer operations and no
 Krawtchouk table.  Outside S both sign conditions hold by construction
@@ -106,11 +106,7 @@ def hamming_rhs(n: int, d: int, m: int) -> Fraction:
     K <= m^n / sum_{i=0}^{e} gamma^i C(n, i) with e = floor((d-1)/2),
     returned as an exact rational.
     """
-    if m < 2:
-        raise DomainError(f"level count m must be >= 2, got {m}")
-    if not 1 <= d <= n:
-        raise DomainError(f"distance d must lie in [1, {n}], got {d}")
-    e = (d - 1) // 2
+    e = WitnessSpec(d, KrawParams(n, m)).e
     g = m * m - 1
     ball = sum(g**i * binomial(n, i) for i in range(e + 1))
     return Fraction(m**n, ball)
@@ -196,22 +192,18 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
     return _verdict(n, d, m, *_sign_values(n, spec.e, m))
 
 
-def certify_threshold(d: int, m: int) -> int:
-    """Least n0 >= d where forward differences prove every n >= n0 passes (d >= 1).
+def _certify(d: int, m: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """Least n0 >= d where forward differences prove every n >= n0 passes.
 
     Each polynomial p of the module docstring has
     p(n0 + x) = sum_k Delta^k p(n0) C(x, k), so p >= 0 at every n >= n0
     when all its forward differences at n0 are.  They come from 3e + 2
-    samples from n = d, the last of which must vanish (a check on the
-    degree bound), and n0 moves up by Delta^k += Delta^(k+1).  Raises
-    ``HorizonError`` when a top nonzero difference is negative: that p
-    is negative at every large n, so no n0 exists.
+    samples (g, c) from n = d, the last of which must vanish (a check on
+    the degree bound), and n0 moves up by Delta^k += Delta^(k+1).
+    Returns n0 and the samples.  Raises ``HorizonError`` when a top
+    nonzero difference is negative: that p is negative at every large n,
+    so no n0 exists.
     """
-    return _certify(d, m)[0]
-
-
-def _certify(d: int, m: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
-    """``certify_threshold``'s n0 and the (g, c) it sampled at n = d, d+1, ..."""
     e = (d - 1) // 2
     samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
     rows = [[x * x - 1 for x in g[1:]]
@@ -239,13 +231,12 @@ def _certify(d: int, m: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Least N from which every length passes; proved when ``stable_tail``."""
+    """Least N from which every length passes, proved by the scan to n0 = ``horizon``."""
 
     d: int
     m: int
     horizon: int
     threshold: int
-    stable_tail: bool
     per_n: tuple[NVerdict, ...]
 
     def exact_dict(self) -> dict:
@@ -255,7 +246,7 @@ class ThresholdReport:
             "m": self.m,
             "horizon": self.horizon,
             "threshold": self.threshold,
-            "stable_tail": self.stable_tail,
+            "stable_tail": True,  # every report is proved
             "per_n": [v.exact_dict() for v in self.per_n],
         }
 
@@ -263,29 +254,23 @@ class ThresholdReport:
         return to_wire(self.exact_dict())
 
 
-def find_threshold(d: int, m: int, horizon: Optional[int] = None) -> ThresholdReport:
-    """Least N from which every length passes, with the scan behind it.
+def find_threshold(d: int, m: int) -> ThresholdReport:
+    """Least N from which every length passes, with the scan that proves it.
 
-    ``certify_threshold`` proves that every n >= n0 passes, and each of
-    n = d..horizon (default n0) gets one verdict: the certificate's
-    samples serve the lengths they cover, and only the lengths past them
-    are evaluated anew.  N is one past the last failure (d when none
-    fails).  ``stable_tail`` is true when horizon >= n0 - 1, so that N
-    is proved; a shorter explicit horizon leaves the lengths in between
-    undecided and the report unproved.
+    ``_certify`` proves that every n >= n0 passes, and each of n = d..n0
+    gets one verdict: the certificate's samples serve the lengths they
+    cover, and only the lengths past them are evaluated anew.  N is one
+    past the last failure (d when none fails).
     """
     if d < 1:
         raise DomainError(f"distance d must be >= 1, got {d}")
-    if horizon is not None and horizon < d:
-        raise DomainError(f"horizon must be >= d = {d}, got {horizon}")
     n0, samples = _certify(d, m)
-    horizon = n0 if horizon is None else horizon
     e = (d - 1) // 2
-    samples += [_sign_values(n, e, m) for n in range(d + len(samples), horizon + 1)]
-    verdicts = tuple(_verdict(n, d, m, g, c) for n, (g, c) in zip(range(d, horizon + 1), samples))
+    samples += [_sign_values(n, e, m) for n in range(d + len(samples), n0 + 1)]
+    verdicts = tuple(_verdict(n, d, m, g, c) for n, (g, c) in zip(range(d, n0 + 1), samples))
     last_fail = max((v.n for v in verdicts if not v.passed), default=None)
     threshold = d if last_fail is None else last_fail + 1
-    return ThresholdReport(d, m, horizon, threshold, horizon >= n0 - 1, verdicts)
+    return ThresholdReport(d, m, n0, threshold, verdicts)
 
 
 @dataclass(frozen=True)

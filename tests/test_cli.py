@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from qhamming import lp_bound
+from qhamming import hamming_witness, lp_bound
 from qhamming.cli import main
 from qhamming.hamming_witness import WitnessSpec, witness_coeffs
 from qhamming.krawtchouk import KrawParams
@@ -233,45 +235,40 @@ def test_threshold_known_values(runner):
     assert json.loads(result.output)["threshold"] == 9
 
 
-def test_threshold_horizon_below_distance_exits_2(runner):
-    result = runner.invoke(main, ["threshold", "--d", "3", "--m", "2", "--horizon", "2"])
-    assert result.exit_code == 2
+@pytest.mark.parametrize("args", [
+    ["threshold", "--d", "3", "--m", "2"],
+    ["table1", "--max-d", "3", "--m", "2"],
+    ["check", "--n", "5", "--K", "2", "--d", "3", "--m", "2"],
+])
+def test_no_threshold_exits_4(runner, monkeypatch, args):
+    # With g = 1 and c_0 = 1, D_1 = 1 - (n-3)^2 is negative at every large
+    # n, so the certificate finds no n0 (d = 1 keeps its real values).
+    real = hamming_witness._sign_values
 
+    def fake(n, e, m):
+        return real(n, e, m) if e == 0 else ([1, 1, 1], [1, (n - 3) ** 2, 0])
 
-def test_threshold_exhausted_horizon_exits_4(runner):
-    # n=4 fails for d=3 and n0 = 5: horizon 4 = n0 - 1 still proves N = 5,
-    # while horizon 3 leaves n=4 undecided.
-    result = runner.invoke(main, ["threshold", "--d", "3", "--m", "2", "--horizon", "4"])
-    assert result.exit_code == 0
-    result = runner.invoke(main, ["threshold", "--d", "3", "--m", "2", "--horizon", "3"])
+    monkeypatch.setattr(hamming_witness, "_sign_values", fake)
+    result = runner.invoke(main, args)
     assert result.exit_code == 4
-    assert "threshold N = 4" in result.stdout
-    assert result.stderr == "error: threshold 4 has no stable tail at horizon 3\n"
-
-
-def test_threshold_unstable_tail_exits_4_with_report(runner):
-    # d=7 has n0 = 14, so horizon 12 leaves the failing n=13 unscanned.
-    result = runner.invoke(main, ["threshold", "--d", "7", "--m", "2", "--horizon", "12"])
-    assert result.exit_code == 4
-    assert "threshold N = 13" in result.output
-    assert "stable_tail = false" in result.output
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: no threshold for d=3, m=2: the witness fails at every large n\n"
+    )
 
 
 def test_threshold_csv_one_row_per_length(runner):
-    result = runner.invoke(
-        main,
-        ["threshold", "--d", "3", "--m", "2", "--horizon", "20", "--format", "csv"],
-    )
+    result = runner.invoke(main, ["threshold", "--d", "3", "--m", "2", "--format", "csv"])
     assert result.exit_code == 0
     rows = list(csv.reader(io.StringIO(result.output)))
     assert rows[0] == ["n", "pass", "argmax_t", "bound", "hamming_rhs"]
-    assert len(rows) == 1 + 18  # header + n = 3..20
+    assert len(rows) == 1 + 3  # header + n = 3..5, up to n0 = 5
     assert rows[1] == ["3", "false", "2", "4", "4/5"]
     assert rows[3] == ["5", "true", "0", "2", "2"]
 
 
 def test_threshold_json_approx_adds_keys(runner):
-    args = ["threshold", "--d", "3", "--m", "2", "--horizon", "20", "--format", "json"]
+    args = ["threshold", "--d", "3", "--m", "2", "--format", "json"]
     plain = json.loads(runner.invoke(main, args).output)
     result = runner.invoke(main, args + ["--approx"])
     assert result.exit_code == 0
@@ -284,7 +281,7 @@ def test_threshold_json_approx_adds_keys(runner):
 
 
 def test_threshold_csv_approx_adds_columns(runner):
-    args = ["threshold", "--d", "3", "--m", "2", "--horizon", "20", "--format", "csv"]
+    args = ["threshold", "--d", "3", "--m", "2", "--format", "csv"]
     plain = runner.invoke(main, args).output
     result = runner.invoke(main, args + ["--approx"])
     assert result.exit_code == 0
@@ -298,9 +295,7 @@ def test_threshold_csv_approx_adds_columns(runner):
 
 
 def test_table1_binary_reference(runner):
-    result = runner.invoke(
-        main, ["table1", "--max-d", "15", "--m", "2", "--horizon", "100"]
-    )
+    result = runner.invoke(main, ["table1", "--max-d", "15", "--m", "2"])
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert lines[0].split() == ["d", "N"]
@@ -457,17 +452,6 @@ def test_check_csv_approx_adds_columns(runner):
     assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain)))
 
 
-def test_check_unstable_tail_exits_4_with_report(runner):
-    # d=7 has n0 = 14, so horizon 12 leaves n=13 undecided; the report
-    # still prints, and n >= N must not be trusted.
-    result = runner.invoke(
-        main, ["check", "--n", "20", "--K", "2", "--d", "7", "--m", "2", "--horizon", "12"]
-    )
-    assert result.exit_code == 4
-    assert "threshold N = 13 (horizon=12, stable_tail=false)" in result.stdout
-    assert result.stderr == "error: threshold 13 has no stable tail at horizon 12\n"
-
-
 def test_check_bad_dimension_exits_2(runner):
     result = runner.invoke(main, ["check", "--n", "5", "--K", "x", "--d", "3", "--m", "2"])
     assert result.exit_code == 2
@@ -501,8 +485,8 @@ def test_check_result_past_digit_limit_exits_2(runner):
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_threshold_result_past_digit_limit_exits_2(runner, digit_limit, fmt):
-    # The rows up to n = 2200 print before the first one past 640 digits.
-    args = ["threshold", "--d", "3", "--m", "2", "--horizon", "2200", "--format", fmt]
+    # m = 10^250 makes hamming_rhs at n = 3 a 751-digit integer.
+    args = ["threshold", "--d", "3", "--m", "1" + "0" * 250, "--format", fmt]
     _assert_too_large(runner.invoke(main, args))
 
 
@@ -525,6 +509,25 @@ def test_bound_ratio_past_digit_limit_exits_2(runner, digit_limit, tmp_path):
 # --- cross-cutting ------------------------------------------------------
 
 
+def test_readme_flags_are_cli_options():
+    # Every documented flag must exist; pip's flag is the one exception.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    commands = [main, *main.commands.values()]
+    options = {o for c in commands for p in c.params for o in p.opts + p.secondary_opts}
+    assert documented - options == {"--no-build-isolation"}
+
+
+def test_threshold_commands_take_only_their_inputs():
+    # The certified n0 is the only scan range, so no option sets one.
+    names = {c: {p.name for p in main.commands[c].params} for c in ("threshold", "table1", "check")}
+    assert names == {
+        "threshold": {"d", "m", "fmt", "approx"},
+        "table1": {"max_d", "m", "fmt", "approx"},
+        "check": {"n", "dim", "d", "m", "fmt", "approx"},
+    }
+
+
 def test_version_option(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
@@ -543,8 +546,8 @@ def test_json_outputs_reparse(runner, witness_file, dist_file):
     for args in (
         ["kraw", "--k", "2", "--x", "1", "--n", "6", "--m", "3", "--format", "json"],
         ["bound", witness_file, "--format", "json"],
-        ["threshold", "--d", "3", "--m", "2", "--horizon", "30", "--format", "json"],
-        ["table1", "--max-d", "3", "--m", "2", "--horizon", "30", "--format", "json"],
+        ["threshold", "--d", "3", "--m", "2", "--format", "json"],
+        ["table1", "--max-d", "3", "--m", "2", "--format", "json"],
         ["macwilliams", "--direction", "forward", dist_file, "--format", "json"],
         ["check", "--n", "5", "--K", "2", "--d", "3", "--m", "2", "--format", "json"],
     ):

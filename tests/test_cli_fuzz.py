@@ -18,9 +18,9 @@ EXIT_CODES = {0, 2, 3, 4}
 # Upper bounds of the integer options, small enough that a run stays fast.
 OPTIONS = {
     "kraw": {"--k": 60, "--x": 60, "--n": 60, "--m": 6},
-    "check": {"--n": 60, "--d": 15, "--m": 6, "--horizon": 80},
-    "threshold": {"--d": 15, "--m": 6, "--horizon": 80},
-    "table1": {"--max-d": 15, "--m": 6, "--horizon": 80},
+    "check": {"--n": 60, "--d": 15, "--m": 6},
+    "threshold": {"--d": 15, "--m": 6},
+    "table1": {"--max-d": 15, "--m": 6},
 }
 
 _garbage = st.text(max_size=4)

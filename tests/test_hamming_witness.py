@@ -15,7 +15,6 @@ from qhamming.hamming_witness import (
     WitnessSpec,
     _sign_values,
     _value_table,
-    certify_threshold,
     check_n,
     find_threshold,
     hamming_rhs,
@@ -129,12 +128,14 @@ def test_hamming_rhs_values():
 
 
 def test_hamming_rhs_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"distance d must lie in \[1, 3\], got 4"):
         hamming_rhs(3, 4, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"distance d must lie in \[1, 3\], got 0"):
         hamming_rhs(3, 0, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="level count m must be >= 2, got 1"):
         hamming_rhs(3, 2, 1)
+    with pytest.raises(DomainError, match="code length n must be >= 1, got 0"):
+        hamming_rhs(0, 1, 2)
 
 
 def test_hamming_rhs_strictly_increasing_in_length():
@@ -186,57 +187,35 @@ def test_check_n_domain_error():
 
 
 def test_find_threshold_small_scan():
-    report = find_threshold(3, 2, 60)
+    # d=3 fails at n=4 and the certificate proves every n >= n0 = 5.
+    report = find_threshold(3, 2)
     assert report.threshold == 5
-    assert report.stable_tail
-    assert report.horizon == 60
-    assert [v.n for v in report.per_n] == list(range(3, 61))
-    by_n = {v.n: v for v in report.per_n}
-    assert not by_n[4].passed
-    assert all(by_n[n].passed for n in range(5, 61))
+    assert report.horizon == 5
+    assert [(v.n, v.passed) for v in report.per_n] == [(3, False), (4, False), (5, True)]
 
 
 def test_find_threshold_keeps_no_report():
     # Scans are not cached: a report lives only as long as its caller holds it.
-    ref = weakref.ref(find_threshold(3, 2, 20))
+    ref = weakref.ref(find_threshold(3, 2))
     gc.collect()
     assert ref() is None
 
 
 def test_find_threshold_trivial_distance():
-    report = find_threshold(1, 2, 40)
+    report = find_threshold(1, 2)
     assert report.threshold == 1
     assert all(v.passed for v in report.per_n)
 
 
 def test_find_threshold_parity_twins():
-    assert find_threshold(4, 2, 60).threshold == find_threshold(3, 2, 60).threshold
+    assert find_threshold(4, 2).threshold == find_threshold(3, 2).threshold
 
 
 def test_find_threshold_argument_errors():
     with pytest.raises(DomainError):
-        find_threshold(3, 2, 2)
+        find_threshold(0, 2)
     with pytest.raises(DomainError):
-        find_threshold(0, 2, 10)
-
-
-def test_find_threshold_horizon_exhausted():
-    # For d=3, n0 = 5 and n=4 fails.  A horizon ending on that failure
-    # still proves N = 5, since every n >= n0 passes; horizon 3 leaves
-    # n=4 undecided, and the report says so instead of raising.
-    report = find_threshold(3, 2, 4)
-    assert (report.threshold, report.stable_tail) == (5, True)
-    report = find_threshold(3, 2, 3)
-    assert (report.threshold, report.stable_tail) == (4, False)
-
-
-def test_find_threshold_flags_unstable_tail():
-    # d=7 passes first at n=14 and n0 = 14, so horizon 12 leaves n=13
-    # undecided; horizon 13 = n0 - 1 proves N = 14.
-    report = find_threshold(7, 2, 12)
-    assert report.threshold == 13
-    assert not report.stable_tail
-    assert find_threshold(7, 2, 13).stable_tail
+        find_threshold(3, 1)
 
 
 def test_certified_threshold_equals_scan_rule():
@@ -254,7 +233,7 @@ def test_certified_threshold_equals_scan_rule_to_d41():
 
 def test_lengths_from_n0_to_5n0_pass():
     for d, m in ((3, 2), (8, 3), (15, 5), (25, 2)):
-        n0 = certify_threshold(d, m)
+        n0 = find_threshold(d, m).horizon
         assert all(check_n(n, d, m).passed for n in range(n0, 5 * n0 + 1)), (d, m)
 
 
@@ -283,7 +262,7 @@ def test_certificate_checks_degree_bound(monkeypatch):
 
     monkeypatch.setattr(hamming_witness, "_sign_values", corrupt_last)
     with pytest.raises(AssertionError, match="degree bound"):
-        certify_threshold(9, 2)
+        find_threshold(9, 2)
 
 
 def test_certificate_negative_top_difference_raises(monkeypatch):
@@ -295,8 +274,6 @@ def test_certificate_negative_top_difference_raises(monkeypatch):
 
     monkeypatch.setattr(hamming_witness, "_sign_values", fake)
     with pytest.raises(HorizonError):
-        certify_threshold(3, 2)
-    with pytest.raises(HorizonError):
         find_threshold(3, 2)
 
 
@@ -307,17 +284,17 @@ def test_certificate_requires_nonzero_partial_sums(monkeypatch):
         return [1, n - 5, 1], [1, 0, 0]
 
     monkeypatch.setattr(hamming_witness, "_sign_values", fake)
-    assert certify_threshold(3, 2) == 6
+    assert find_threshold(3, 2).horizon == 6
 
 
 def test_threshold_report_json_shape():
-    report = find_threshold(3, 2, 20)
+    report = find_threshold(3, 2)
     doc = json.loads(json.dumps(report.to_dict()))
     assert set(doc) == {"d", "m", "horizon", "threshold", "stable_tail", "per_n"}
     assert doc["d"] == 3 and doc["m"] == 2
-    assert doc["horizon"] == 20 and doc["threshold"] == 5
+    assert doc["horizon"] == 5 and doc["threshold"] == 5
     assert doc["stable_tail"] is True
-    assert len(doc["per_n"]) == 18
+    assert len(doc["per_n"]) == 3
     entry = doc["per_n"][0]
     assert set(entry) == {"n", "pass", "argmax_t", "bound", "hamming_rhs"}
     # at n=3 the ratio maximum sits at t=2 (128/4 = 32, bound 32/2^3 = 4)
@@ -447,7 +424,8 @@ def test_value_table_reproduces_closed_form():
 
 def test_scan_evaluates_each_length_once(monkeypatch):
     # The certificate's samples serve the scan; only lengths past them
-    # are evaluated again.  d = 25 samples n = 25..62.
+    # are evaluated again.  d = 25 samples n = 25..62 and n0 <= 62;
+    # d = 29 samples n = 29..72 and n0 = 73 at m = 2.
     real = hamming_witness._sign_values
     lengths = []
 
@@ -456,10 +434,10 @@ def test_scan_evaluates_each_length_once(monkeypatch):
         return real(n, e, m)
 
     monkeypatch.setattr(hamming_witness, "_sign_values", counting)
-    for m, horizon, calls in ((2, None, 38), (5, None, 38), (2, 80, 56)):
+    for d, m, calls in ((25, 2, 38), (25, 5, 38), (29, 2, 45)):
         lengths.clear()
-        find_threshold(25, m, horizon)
-        assert len(lengths) == len(set(lengths)) == calls, (m, horizon)
+        find_threshold(d, m)
+        assert len(lengths) == len(set(lengths)) == calls, (d, m)
 
 
 def test_check_n_zero_partial_sum_fails_conditions(monkeypatch):
