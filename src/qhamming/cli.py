@@ -247,8 +247,8 @@ def threshold(d: int, m: int, fmt: str, approx: bool) -> None:
         f"d={report.d} m={report.m} horizon={report.horizon}",
         f"threshold N = {report.threshold}",
         "stable_tail = true",
-        f"note: scanned n in [{report.d}, {report.horizon}]; with a stable tail every "
-        "longer length is proved to pass, so the threshold is proved",
+        f"note: scanned n in [{report.d}, {report.horizon}]; every longer length is "
+        "proved to pass, so the threshold is proved",
         "   " + "  ".join(rows[0]),
     ]
     text += [
@@ -275,7 +275,8 @@ def table1(max_d: int, m: int, fmt: str, approx: bool) -> None:
     ]
     text = ["d  N"] + [f"{rep.d}  {rep.threshold}" for rep in reports]
     if m != 2:
-        text.append(f"note: no published reference values for m={m}; computed by direct scan")
+        text.append(f"note: no published reference values for m={m}; "
+                    "proved by the forward-difference certificate")
     obj = {"m": m, "reference_values_published": m == 2, "rows": rows}
     _emit(fmt, approx, text, obj, rows)
 
