@@ -257,6 +257,18 @@ def test_no_threshold_exits_4(runner, monkeypatch, args):
     )
 
 
+@pytest.mark.parametrize("args", [
+    ["threshold", "--d", "3", "--m", "2"],
+    ["table1", "--max-d", "3", "--m", "2"],
+    ["check", "--n", "5", "--K", "2", "--d", "3", "--m", "2"],
+])
+def test_horizon_is_a_usage_error(runner, args):
+    result = runner.invoke(main, args + ["--horizon", "20"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "No such option '--horizon'" in result.stderr
+
+
 def test_threshold_csv_one_row_per_length(runner):
     result = runner.invoke(main, ["threshold", "--d", "3", "--m", "2", "--format", "csv"])
     assert result.exit_code == 0
@@ -318,6 +330,15 @@ def test_table1_nonbinary_is_flagged(runner):
     assert doc["reference_values_published"] is False
     assert [row["d"] for row in doc["rows"]] == [1, 3, 5]
     assert all(row["stable_tail"] for row in doc["rows"])
+
+
+def test_table1_rows_are_library_reports(runner):
+    result = runner.invoke(main, ["table1", "--max-d", "9", "--m", "2", "--format", "json"])
+    assert result.exit_code == 0
+    for row in json.loads(result.output)["rows"]:
+        report = hamming_witness.find_threshold(row["d"], 2)
+        assert (row["threshold"], row["horizon"]) == (report.threshold, report.horizon)
+        assert row["stable_tail"] is True
 
 
 def test_table1_bad_arguments_exit_2(runner):
@@ -450,6 +471,18 @@ def test_check_csv_approx_adds_columns(runner):
     assert rows[0][-2:] == ["hamming_rhs_approx", "singleton_rhs_approx"]
     assert rows[1][-2:] == ["2", "2"]
     assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain)))
+
+
+def test_check_reports_proved_threshold(runner):
+    # d=7 fails at n=13 and n0 = 14, so N = 14 and n = 13 lies below it.
+    args = ["--K", "2", "--d", "7", "--m", "2"]
+    below = runner.invoke(main, ["check", "--n", "13", *args])
+    at = runner.invoke(main, ["check", "--n", "14", *args])
+    assert below.exit_code == at.exit_code == 0
+    for result in (below, at):
+        assert "threshold N = 14 (horizon=14, stable_tail=true)" in result.stdout
+    assert "n >= N: no;" in below.stdout
+    assert "n >= N: yes;" in at.stdout
 
 
 def test_check_bad_dimension_exits_2(runner):

@@ -218,6 +218,28 @@ def test_find_threshold_argument_errors():
         find_threshold(3, 1)
 
 
+def test_find_threshold_takes_no_horizon():
+    # The certified n0 is the only scan range, so no argument sets one.
+    with pytest.raises(TypeError):
+        find_threshold(3, 2, 20)
+    with pytest.raises(TypeError):
+        find_threshold(3, 2, horizon=20)
+
+
+@pytest.mark.parametrize("d, m", [(1, 2), (3, 2), (7, 2), (8, 3), (15, 5)])
+def test_threshold_report_is_proved(d, m):
+    # Rows cover d..n0 once each, agree with check_n, pass from N on, and
+    # fail just below N; the certificate covers every length past n0.
+    report = find_threshold(d, m)
+    assert [v.n for v in report.per_n] == list(range(d, report.horizon + 1))
+    assert list(report.per_n) == [check_n(v.n, d, m) for v in report.per_n]
+    assert d <= report.threshold <= report.horizon
+    assert all(v.passed for v in report.per_n if v.n >= report.threshold)
+    if report.threshold > d:
+        assert not report.per_n[report.threshold - 1 - d].passed
+    assert report.to_dict()["stable_tail"] is True
+
+
 def test_certified_threshold_equals_scan_rule():
     for m in range(2, 6):
         for d in range(1, 16):
