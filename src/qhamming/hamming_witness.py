@@ -25,8 +25,8 @@ Krawtchouk table.  Outside S both sign conditions hold by construction
 c_t(n) = sum_{s<=e} B[t][s] C(n-t, s) with the n-free count table B of
 ``_value_table``.  The generic route, ``witness_coeffs`` with
 ``lp_bound.dimension_bound``, gives the same verdict over every t in
-0..n.  Both take g from ``_partial_sums``, the column sums of the degree
-recurrence ``kraw_recurrence``.  The independent routes that cross-check
+0..n.  Both take g from ``_partial_sums``, the sum of the rows that the
+degree recurrence ``kraw_recurrence`` yields.  The routes that cross-check
 them (the defining sums, the closed forms, product linearization and
 the orthogonality extraction) live in ``tests/oracles.py``.
 """
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence
 
 from .exceptions import DomainError, HorizonError
@@ -68,7 +69,10 @@ class WitnessSpec:
 
 def _partial_sums(e: int, xs: Sequence[int], p: KrawParams) -> list[int]:
     """g(x) = P_0(x) + P_1(x) + ... + P_e(x) for each x in xs."""
-    return [sum(col) for col in zip(*kraw_recurrence(e, xs, p))]
+    total = [0] * len(xs)
+    for row in kraw_recurrence(e, xs, p):
+        total = list(map(add, total, row))
+    return total
 
 
 def witness_coeffs(spec: WitnessSpec) -> KBasisPoly:

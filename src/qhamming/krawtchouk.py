@@ -9,13 +9,13 @@ degree-k polynomial evaluated at an integer point x in {0..n} is
 
 and every value is an exact (arbitrary-precision) integer.
 
-All functions are pure.  ``kraw_eval`` is the defining sum above (the
-``kraw`` command).  ``kraw_recurrence`` runs the degree recurrence at
-chosen points; the threshold scan and the witness coefficients use it
-alone.  ``kraw_table`` builds the full (n+1)^2 value table from it for
-the generic witness engine (``lp_bound``) and the MacWilliams
-transforms, and keeps only the few most recently used (n, m), so memory
-stays bounded over many lengths.
+All functions are pure.  Every value comes from the degree recurrence:
+``kraw_recurrence`` yields its rows k = 0..k_max at chosen points, two
+alive at a time.  ``kraw_eval`` (the ``kraw`` command) takes the last
+row at one point, the witness adds the rows up, and
+``kraw_table`` collects the (n+1)^2 table for ``lp_bound`` and the
+MacWilliams transforms, caching only a few recent (n, m).  The defining
+sum above lives in ``tests/oracles.py``, as the recurrence's reference.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .exceptions import DomainError
 
@@ -75,54 +75,47 @@ def _require_range(name: str, value: int, n: int) -> None:
 
 
 def kraw_eval(k: int, x: int, p: KrawParams) -> int:
-    """Evaluate P_k(x; n) by the defining sum."""
+    """Evaluate P_k(x; n): the last row of the degree recurrence at x."""
     _require_range("degree k", k, p.n)
     _require_range("point x", x, p.n)
-    g = p.gamma
-    nx = p.n - x
-    total = 0
-    for j in range(min(k, x) + 1):
-        c = comb(x, j) * binomial(nx, k - j)
-        if c == 0:
-            continue
-        term = c * g ** (k - j)
-        total += -term if j & 1 else term
-    return total
+    for (value,) in kraw_recurrence(k, (x,), p):
+        pass
+    return value
 
 
-def kraw_recurrence(k_max: int, xs: Sequence[int], p: KrawParams) -> list[list[int]]:
-    """Values P_k(x; n) as ``rows[k][i] = P_k(xs[i])`` for k = 0..k_max.
+def kraw_recurrence(k_max: int, xs: Sequence[int], p: KrawParams) -> Iterator[list[int]]:
+    """Rows ``[P_k(x) for x in xs]`` for k = 0..k_max, one at a time.
 
-    Degree recurrence, q = m^2:
+    Degree recurrence, q = m^2, from P_{-1} = 0 and P_0 = 1:
       (k+1) P_{k+1}(x) = ((q-1)(n-k) + k - q x) P_k(x) - (q-1)(n-k+1) P_{k-1}(x)
-    The division by k+1 is exact at every step.  Tests cross-check the
-    rows against kraw_eval's defining sum.
+    The division by k+1 is exact at every step.  The arguments are
+    checked at the call, before the first row; only the previous and the
+    current row stay alive.
     """
     n = p.n
     _require_range("degree k_max", k_max, n)
     for x in xs:
         _require_range("point x", x, n)
-    q = p.q
+    return _recurrence_rows(k_max, xs, n, p.q)
+
+
+def _recurrence_rows(k_max: int, xs: Sequence[int], n: int, q: int) -> Iterator[list[int]]:
     g = q - 1
-    rows = [[1] * len(xs)]
-    if k_max >= 1:
-        rows.append([g * n - q * x for x in xs])
-    for k in range(1, k_max):
+    prev, cur = [0] * len(xs), [1] * len(xs)
+    yield cur
+    for k in range(k_max):
         a = g * (n - k) + k
         b = g * (n - k + 1)
-        prev, cur = rows[k - 1], rows[k]
-        rows.append(
-            [((a - q * x) * c - b * pr) // (k + 1) for x, c, pr in zip(xs, cur, prev)]
-        )
-    return rows
+        prev, cur = cur, [((a - q * x) * c - b * pr) // (k + 1)
+                          for x, c, pr in zip(xs, cur, prev)]
+        yield cur
 
 
 # Callers reuse a table right away (a transform and its inverse on one
 # (n, m), or the values of one witness), so a few entries suffice.
 @lru_cache(maxsize=4)
 def _kraw_table(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    rows = kraw_recurrence(n, range(n + 1), KrawParams(n, m))
-    return tuple(tuple(row) for row in rows)
+    return tuple(map(tuple, kraw_recurrence(n, range(n + 1), KrawParams(n, m))))
 
 
 def kraw_table(p: KrawParams) -> tuple[tuple[int, ...], ...]:

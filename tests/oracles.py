@@ -6,6 +6,8 @@ formula, term by term in ``int`` and ``Fraction``, so that the engine
 the n-free value table of the threshold scan) is checked against a
 second derivation:
 
+- ``kraw_sum``: P_k(x; n) by the defining sum, the reference for every
+  value of the package's one Krawtchouk route, the degree recurrence;
 - ``partial_sum`` and ``squared_partial_sums``: g(x) = sum_{i<=e} P_i(x)
   by the defining sum of each P_i, and the witness coefficients g(t)^2;
 - ``product_coeff``, ``linearize_product`` and ``witness_value``: the
@@ -24,15 +26,29 @@ import math
 from fractions import Fraction
 
 from qhamming.hamming_witness import check_n
-from qhamming.krawtchouk import binomial, kraw_eval, kraw_table
+from qhamming.krawtchouk import binomial, kraw_table
 from qhamming.lp_bound import BoundReport, ConditionReport
 
-# --- the squared-partial-sum witness ----------------------------------
+# --- Krawtchouk values and the squared-partial-sum witness --------------
+
+
+def kraw_sum(k, x, p):
+    """P_k(x; n) = sum_{j<=k} (-1)^j gamma^(k-j) C(x, j) C(n-x, k-j)."""
+    g = p.gamma
+    nx = p.n - x
+    total = 0
+    for j in range(min(k, x) + 1):
+        c = math.comb(x, j) * binomial(nx, k - j)
+        if c == 0:
+            continue
+        term = c * g ** (k - j)
+        total += -term if j & 1 else term
+    return total
 
 
 def partial_sum(e, x, p):
     """P_0(x) + P_1(x) + ... + P_e(x), each by its defining sum."""
-    return sum(kraw_eval(i, x, p) for i in range(e + 1))
+    return sum(kraw_sum(i, x, p) for i in range(e + 1))
 
 
 def squared_partial_sums(spec):

@@ -468,8 +468,8 @@ def test_check_n_zero_partial_sum_fails_conditions(monkeypatch):
     real = hamming_witness.kraw_recurrence
 
     def zero_at_one(k_max, xs, p):
-        rows = real(k_max, xs, p)
-        return [[0 if x == 1 else v for x, v in zip(xs, row)] for row in rows]
+        for row in real(k_max, xs, p):
+            yield [0 if x == 1 else v for x, v in zip(xs, row)]
 
     monkeypatch.setattr(hamming_witness, "kraw_recurrence", zero_at_one)
     verdict = check_n(9, 5, 2)

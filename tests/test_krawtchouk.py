@@ -16,7 +16,7 @@ from qhamming.krawtchouk import (
     kraw_table,
 )
 
-from oracles import partial_sum
+from oracles import kraw_sum, partial_sum
 
 
 def test_binomial_standard_values():
@@ -81,8 +81,8 @@ def test_rows_small_case():
     assert kraw_table(KrawParams(2, 2)) == ((1, 1, 1), (6, 2, -2), (9, -3, 1))
 
 
-def test_table_matches_defining_sum_exhaustively():
-    # The table is built by a degree recurrence; it must agree with the
+def test_table_and_eval_match_defining_sum_exhaustively():
+    # Both come from the degree recurrence; they must agree with the
     # defining sum everywhere.
     for n in range(1, 13):
         for m in (2, 3):
@@ -90,7 +90,14 @@ def test_table_matches_defining_sum_exhaustively():
             table = kraw_table(p)
             for k in range(n + 1):
                 for x in range(n + 1):
-                    assert table[k][x] == kraw_eval(k, x, p)
+                    assert table[k][x] == kraw_eval(k, x, p) == kraw_sum(k, x, p)
+
+
+def test_eval_matches_defining_sum_at_a_large_point():
+    p = KrawParams(2000, 2)
+    value = kraw_eval(2000, 1000, p)
+    assert isinstance(value, int)
+    assert value == kraw_sum(2000, 1000, p)
 
 
 def test_recurrence_at_chosen_points_matches_defining_sum():
@@ -101,10 +108,10 @@ def test_recurrence_at_chosen_points_matches_defining_sum():
             p = KrawParams(n, m)
             xs = sorted({0, n // 3, n // 2, n})
             for k_max in sorted({0, 1, n // 2, n}):
-                rows = kraw_recurrence(k_max, xs, p)
+                rows = list(kraw_recurrence(k_max, xs, p))
                 assert len(rows) == k_max + 1
                 for k, row in enumerate(rows):
-                    assert row == [kraw_eval(k, x, p) for x in xs]
+                    assert row == [kraw_sum(k, x, p) for x in xs]
 
 
 def test_recurrence_domain_errors():
@@ -121,7 +128,7 @@ def test_table_matches_defining_sum_random(n, m, data):
     k = data.draw(st.integers(min_value=0, max_value=n))
     x = data.draw(st.integers(min_value=0, max_value=n))
     p = KrawParams(n, m)
-    assert kraw_table(p)[k][x] == kraw_eval(k, x, p)
+    assert kraw_table(p)[k][x] == kraw_sum(k, x, p)
 
 
 def test_values_are_exact_integers():
