@@ -8,6 +8,8 @@ Exit codes are a stable contract:
     4   no threshold exists: the witness fails at every large length
 
 Library errors become codes 2 and 4 in one place, ``_Main.invoke``.
+An input past its cap (``MAX_N`` and the rest below) exits 2 before any
+work.
 ``bound`` exits 3 itself, after printing its report.
 
 Each subcommand computes its result and describes it once, with exact
@@ -37,6 +39,20 @@ from .lp_bound import ConditionReport, dimension_bound, witness_from_dict
 from .rational import approx_decimal, parse_rational, to_wire
 
 _FORMATS = click.Choice(["text", "json", "csv"])
+
+# Input caps.  At its caps the slowest accepted input of each command
+# stays within 5 s and 64 MiB on a 2-core host (README, "Input caps").
+MAX_N = 250  # --n of kraw and check; n of bound and macwilliams documents
+MAX_M = 1024  # --m, and m of documents
+MAX_D = 101  # --d of threshold and check
+MAX_TABLE1_D = 61  # --max-d of table1, which scans every odd d up to it
+
+
+def _require_caps(*checks: tuple[str, int, int]) -> None:
+    """Raise ``DomainError`` for the first (name, value, cap) with value > cap."""
+    for name, value, cap in checks:
+        if value > cap:
+            raise DomainError(f"{name} must be at most {cap} (input cap), got {value}")
 
 
 def _output_options(func):
@@ -166,6 +182,7 @@ def main() -> None:
 @_output_options
 def kraw(k: int, x: int, n: int, m: int, fmt: str, approx: bool) -> None:
     """Evaluate the degree-k Krawtchouk polynomial at x."""
+    _require_caps(("--n", n, MAX_N), ("--m", m, MAX_M))
     value = Fraction(kraw_eval(k, x, KrawParams(n, m)))
     row = {"k": k, "x": x, "n": n, "m": m, "value": value}
     _emit(fmt, approx, [(value,)], row, [row])
@@ -180,6 +197,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
     WITNESS_FILE is JSON: {"n", "m", "S", "coeffs"}.
     """
     poly, S = witness_from_dict(_load_json_file(witness_file))
+    _require_document_caps(poly.params)
     try:
         report = dimension_bound(poly, S)
         cond = ConditionReport(S, True, (), True, ())
@@ -241,6 +259,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
 @_output_options
 def threshold(d: int, m: int, fmt: str, approx: bool) -> None:
     """Find and prove the least length N from which every length passes."""
+    _require_caps(("--d", d, MAX_D), ("--m", m, MAX_M))
     report = find_threshold(d, m)
     rows = [v.exact_dict() for v in report.per_n]
     text = [
@@ -268,6 +287,7 @@ def table1(max_d: int, m: int, fmt: str, approx: bool) -> None:
     """Tabulate thresholds N(d, m) for odd distances d = 1, 3, ..., max-d."""
     if max_d < 1:
         _fail(2, f"--max-d must be >= 1, got {max_d}")
+    _require_caps(("--max-d", max_d, MAX_TABLE1_D), ("--m", m, MAX_M))
     reports = [find_threshold(d, m) for d in range(1, max_d + 1, 2)]
     rows = [
         {"d": rep.d, "threshold": rep.threshold, "horizon": rep.horizon, "stable_tail": True}
@@ -292,6 +312,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
     DIST_FILE is JSON: {"n", "m", "K", "A"}.
     """
     dist = distribution_from_dict(_load_json_file(dist_file))
+    _require_document_caps(dist.params)
     out = mw_forward(dist) if direction == "forward" else mw_inverse(dist)
     text = [f"n={out.params.n} m={out.params.m} K={out.K}"]
     text += [(f"  A[{i}] = ", a) for i, a in enumerate(out.entries)]
@@ -307,6 +328,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 @_output_options
 def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
     """Test parameters (n, K, d, m) against the Hamming and Singleton bounds."""
+    _require_caps(("--n", n, MAX_N), ("--d", d, MAX_D), ("--m", m, MAX_M))
     K = parse_rational(dim)
     if K <= 0:
         _fail(2, f"--K must be positive, got {dim}")
@@ -341,6 +363,11 @@ def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
         else "n >= N: no; below the threshold only the singleton bound is unconditional",
     ]
     _emit(fmt, approx, text, row, [row])
+
+
+def _require_document_caps(p: KrawParams) -> None:
+    """Refuse a document past the caps before its (n+1)^2 table is built."""
+    _require_caps(("field 'n'", p.n, MAX_N), ("field 'm'", p.m, MAX_M))
 
 
 def _verdict_word(K: Fraction, rhs: Fraction) -> str:

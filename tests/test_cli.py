@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qhamming import hamming_witness, lp_bound
+from qhamming import cli, hamming_witness, lp_bound
 from qhamming.cli import main
 from qhamming.hamming_witness import WitnessSpec, witness_coeffs
 from qhamming.krawtchouk import KrawParams
@@ -492,6 +492,62 @@ def test_check_bad_dimension_exits_2(runner):
     assert result.exit_code == 2
 
 
+# --- input caps -----------------------------------------------------------
+
+
+def _capped_invocations(tmp_path, n, m, d, max_d):
+    """Every command with its capped inputs set to n, m, d and max_d."""
+    witness, dist = tmp_path / "witness.json", tmp_path / "dist.json"
+    witness.write_text(json.dumps({"n": n, "m": m, "S": [0], "coeffs": ["1"] * (n + 1)}))
+    dist.write_text(json.dumps({"n": n, "m": m, "K": "1", "A": ["1"] * (n + 1)}))
+    return [
+        ["kraw", "--k", "1", "--x", "0", "--n", str(n), "--m", str(m)],
+        ["threshold", "--d", str(d), "--m", str(m)],
+        ["table1", "--max-d", str(max_d), "--m", str(m)],
+        ["check", "--n", str(n), "--K", "2", "--d", str(d), "--m", str(m)],
+        ["bound", str(witness)],
+        ["macwilliams", "--direction", "forward", str(dist)],
+    ]
+
+
+@pytest.fixture()
+def cheap_threshold(monkeypatch):
+    """``find_threshold`` replaced by its answer at d = 1, recording each (d, m) asked."""
+    asked = []
+
+    def fake(d, m):
+        asked.append((d, m))
+        return hamming_witness.find_threshold(1, 2)
+
+    monkeypatch.setattr(cli, "find_threshold", fake)
+    return asked
+
+
+def test_inputs_at_the_caps_are_accepted(runner, tmp_path, cheap_threshold):
+    for args in _capped_invocations(tmp_path, cli.MAX_N, cli.MAX_M, cli.MAX_D, cli.MAX_TABLE1_D):
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 3), (args, result.stderr)
+    assert (cli.MAX_D, cli.MAX_M) in cheap_threshold
+    assert (cli.MAX_TABLE1_D, cli.MAX_M) in cheap_threshold
+
+
+@pytest.mark.parametrize("past", ["n", "m", "d", "max_d"])
+def test_inputs_one_past_a_cap_exit_2_before_any_work(runner, tmp_path, cheap_threshold, past):
+    caps = {"n": cli.MAX_N, "m": cli.MAX_M, "d": cli.MAX_D, "max_d": cli.MAX_TABLE1_D}
+    values = {"n": 5, "m": 2, "d": 3, "max_d": 3, past: caps[past] + 1}
+    takes = {"n": {"kraw", "check", "bound", "macwilliams"}, "m": set(cli.main.commands),
+             "d": {"threshold", "check"}, "max_d": {"table1"}}[past]
+    for args in _capped_invocations(tmp_path, **values):
+        result = runner.invoke(main, args)
+        if args[0] in takes:
+            assert result.exit_code == 2 and result.stdout == "", (args, result.output)
+            assert f"must be at most {caps[past]} (input cap), got {caps[past] + 1}" in (
+                result.stderr), args
+        else:
+            assert result.exit_code == 0, (args, result.output)
+    assert all(d <= cli.MAX_D and m <= cli.MAX_M for d, m in cheap_threshold)
+
+
 # --- results past the int-string digit limit -----------------------------
 
 
@@ -510,22 +566,25 @@ def _assert_too_large(result):
     assert result.stderr.startswith("error: result too large to print: ")
 
 
-def test_check_result_past_digit_limit_exits_2(runner):
-    # At the default limit: hamming_rhs = 2^15000 / 45001 has a 4,516-digit numerator.
-    args = ["check", "--n", "15000", "--K", "2", "--d", "3", "--m", "2"]
+def test_check_result_past_digit_limit_exits_2(runner, digit_limit):
+    # At the caps n = 250, m = 1024: hamming_rhs = 2^2500 / 262143751 has a
+    # 753-digit numerator.
+    args = ["check", "--n", "250", "--K", "2", "--d", "3", "--m", "1024"]
     _assert_too_large(runner.invoke(main, args))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_threshold_result_past_digit_limit_exits_2(runner, digit_limit, fmt):
+def test_threshold_result_past_digit_limit_exits_2(runner, digit_limit, fmt, monkeypatch):
+    # Every threshold report within the caps prints, so lift the cap on m:
     # m = 10^250 makes hamming_rhs at n = 3 a 751-digit integer.
+    monkeypatch.setattr(cli, "MAX_M", 10**250)
     args = ["threshold", "--d", "3", "--m", "1" + "0" * 250, "--format", fmt]
     _assert_too_large(runner.invoke(main, args))
 
 
 def test_kraw_result_past_digit_limit_exits_2(runner, digit_limit):
-    # P_1100(0) = 3^1100 C(2200, 1100) has 1,186 digits.
-    args = ["kraw", "--k", "1100", "--x", "0", "--n", "2200", "--m", "2", "--approx"]
+    # At the caps: P_250(0) = 1048575^250 has 1,506 digits.
+    args = ["kraw", "--k", "250", "--x", "0", "--n", "250", "--m", "1024", "--approx"]
     _assert_too_large(runner.invoke(main, args))
 
 

@@ -3,7 +3,8 @@
 Random small argument vectors go to ``kraw``, ``check``, ``threshold`` and
 ``table1``; random JSON documents go to ``bound`` and ``macwilliams``.
 Whatever the input, the CLI must answer with one of the documented exit
-codes and never end in a traceback.
+codes and never end in a traceback.  Now and then an integer input lands
+just past its cap, and the CLI must then exit 2.
 """
 import json
 
@@ -11,17 +12,25 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qhamming.cli import main
+from qhamming.cli import MAX_D, MAX_M, MAX_N, MAX_TABLE1_D, main
+from qhamming.rational import is_int
 
 EXIT_CODES = {0, 2, 3, 4}
 
-# Upper bounds of the integer options, small enough that a run stays fast.
+# Each integer option's upper bound, small enough that a run stays fast,
+# and its cap (k and x lie in [0, n], so n's cap bounds them).
 OPTIONS = {
-    "kraw": {"--k": 60, "--x": 60, "--n": 60, "--m": 6},
-    "check": {"--n": 60, "--d": 15, "--m": 6},
-    "threshold": {"--d": 15, "--m": 6},
-    "table1": {"--max-d": 15, "--m": 6},
+    "kraw": {"--k": (60, MAX_N), "--x": (60, MAX_N), "--n": (60, MAX_N), "--m": (6, MAX_M)},
+    "check": {"--n": (60, MAX_N), "--d": (15, MAX_D), "--m": (6, MAX_M)},
+    "threshold": {"--d": (15, MAX_D), "--m": (6, MAX_M)},
+    "table1": {"--max-d": (15, MAX_TABLE1_D), "--m": (6, MAX_M)},
 }
+
+
+def _upto_or_past(top, cap):
+    """An integer in -1..top, or one time in eight one or two past ``cap``."""
+    return st.integers(0, 7).flatmap(
+        lambda i: st.integers(cap + 1, cap + 2) if i == 0 else st.integers(-1, top))
 
 _garbage = st.text(max_size=4)
 _small_rationals = st.from_regex(r"[+-]?\d{1,3}(/[1-9]\d{0,2})?", fullmatch=True)
@@ -44,7 +53,8 @@ def _rational_strings(draw):
 def _argv(draw):
     """Every option of one command, then maybe one of them dropped or garbled."""
     command = draw(st.sampled_from(sorted(OPTIONS)))
-    pairs = [[option, str(draw(st.integers(-1, top)))] for option, top in OPTIONS[command].items()]
+    pairs = [[option, str(draw(_upto_or_past(top, cap)))]
+             for option, (top, cap) in OPTIONS[command].items()]
     if command == "check":
         pairs.append(["--K", draw(_small_rationals)])
     if draw(st.booleans()):
@@ -71,8 +81,8 @@ def _documents(draw, fields):
     """
     if draw(st.integers(0, 9)) == 0:
         return draw(_json)
-    n = draw(st.integers(-1, 12))
-    doc = {"n": n, "m": draw(st.integers(-1, 6))}
+    n = draw(_upto_or_past(12, MAX_N))
+    doc = {"n": n, "m": draw(_upto_or_past(6, MAX_M))}
     doc.update((name, draw(make(n))) for name, make in fields.items())
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(doc)))
@@ -83,10 +93,15 @@ def _documents(draw, fields):
 
 
 def _rationals(n):
-    """n + 1 rational strings (or another count), one in ten up to 5,000 digits."""
+    """n + 1 rational strings (or another count), one in ten up to 5,000 digits.
+
+    A list longer than 15, of a length past the cap, takes its entries from
+    a short fixed list, which is fast to draw.
+    """
     entry = st.one_of(*[_small_rationals] * 9, _rational_strings())
     size = st.one_of(st.just(max(n + 1, 0)), st.integers(0, 14))
-    return size.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+    return size.flatmap(lambda k: st.lists(entry if k <= 15 else st.sampled_from(["0", "1", "-5/3"]),
+                                           min_size=k, max_size=k))
 
 
 WITNESS = {"S": lambda n: st.lists(st.integers(-1, n + 1), max_size=n + 3),
@@ -95,16 +110,31 @@ DISTRIBUTION = {"K": lambda n: st.one_of(_small_rationals, _rational_strings()),
                 "A": _rationals}
 
 
-def _assert_contract(result, argv):
+def _assert_contract(result, argv, past_a_cap):
     assert result.exit_code in EXIT_CODES, (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, result.exception)
+    if past_a_cap:
+        assert result.exit_code == 2 and result.stdout == "", (argv, result.output)
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _option_past_a_cap(argv):
+    caps = {option: cap for option, (_, cap) in OPTIONS[argv[0]].items()}
+    return any(option in caps and (_int(value) or 0) > caps[option]
+               for option, value in zip(argv[1:], argv[2:]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_argv())
 def test_option_vectors_keep_exit_contract(argv):
-    _assert_contract(CliRunner().invoke(main, argv), argv)
+    _assert_contract(CliRunner().invoke(main, argv), argv, _option_past_a_cap(argv))
 
 
 @settings(max_examples=100, deadline=None,
@@ -120,4 +150,6 @@ def test_documents_keep_exit_contract(tmp_path, case, output):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     argv = command + [str(path)] + output
-    _assert_contract(CliRunner().invoke(main, argv), argv)
+    past_a_cap = isinstance(doc, dict) and any(
+        is_int(doc.get(key)) and doc[key] > cap for key, cap in (("n", MAX_N), ("m", MAX_M)))
+    _assert_contract(CliRunner().invoke(main, argv), argv, past_a_cap)
