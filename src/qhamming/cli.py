@@ -8,9 +8,8 @@ Exit codes are a stable contract:
     4   no threshold exists: the witness fails at every large length
 
 Library errors become codes 2 and 4 in one place, ``_Main.invoke``.
-An input past its cap (``MAX_N`` and the rest below) exits 2 before any
-work.
-``bound`` exits 3 itself, after printing its report.
+``bound`` exits 3 itself, after printing its report.  An input past its
+cap (``MAX_N`` and the rest below) exits 2 before any work.
 
 Each subcommand computes its result and describes it once, with exact
 values (``Fraction``, ``int``, ``bool``, ``None``), as text lines, a
@@ -53,6 +52,11 @@ def _require_caps(*checks: tuple[str, int, int]) -> None:
     for name, value, cap in checks:
         if value > cap:
             raise DomainError(f"{name} must be at most {cap} (input cap), got {value}")
+
+
+def _require_document_caps(p: KrawParams) -> None:
+    """Refuse a document past the caps before its (n+1)^2 table is built."""
+    _require_caps(("field 'n'", p.n, MAX_N), ("field 'm'", p.m, MAX_M))
 
 
 def _output_options(func):
@@ -363,11 +367,6 @@ def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
         else "n >= N: no; below the threshold only the singleton bound is unconditional",
     ]
     _emit(fmt, approx, text, row, [row])
-
-
-def _require_document_caps(p: KrawParams) -> None:
-    """Refuse a document past the caps before its (n+1)^2 table is built."""
-    _require_caps(("field 'n'", p.n, MAX_N), ("field 'm'", p.m, MAX_M))
 
 
 def _verdict_word(K: Fraction, rhs: Fraction) -> str:

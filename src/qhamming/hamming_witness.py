@@ -25,8 +25,8 @@ Krawtchouk table.  Outside S both sign conditions hold by construction
 c_t(n) = sum_{s<=e} B[t][s] C(n-t, s) with the n-free count table B of
 ``_value_table``.  The generic route, ``witness_coeffs`` with
 ``lp_bound.dimension_bound``, gives the same verdict over every t in
-0..n.  Both take g from ``_partial_sums``, the sum of the rows that the
-degree recurrence ``kraw_recurrence`` yields.  The routes that cross-check
+0..n.  Both take g from ``_partial_sums``, the sum of the rows of the degree
+recurrence ``kraw_recurrence``.  The independent routes that cross-check
 them (the defining sums, the closed forms, product linearization and
 the orthogonality extraction) live in ``tests/oracles.py``.
 """

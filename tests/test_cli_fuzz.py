@@ -32,6 +32,7 @@ def _upto_or_past(top, cap):
     return st.integers(0, 7).flatmap(
         lambda i: st.integers(cap + 1, cap + 2) if i == 0 else st.integers(-1, top))
 
+
 _garbage = st.text(max_size=4)
 _small_rationals = st.from_regex(r"[+-]?\d{1,3}(/[1-9]\d{0,2})?", fullmatch=True)
 _output = st.tuples(
@@ -99,9 +100,9 @@ def _rationals(n):
     a short fixed list, which is fast to draw.
     """
     entry = st.one_of(*[_small_rationals] * 9, _rational_strings())
+    cheap = st.sampled_from(["0", "1", "-5/3"])
     size = st.one_of(st.just(max(n + 1, 0)), st.integers(0, 14))
-    return size.flatmap(lambda k: st.lists(entry if k <= 15 else st.sampled_from(["0", "1", "-5/3"]),
-                                           min_size=k, max_size=k))
+    return size.flatmap(lambda k: st.lists(entry if k <= 15 else cheap, min_size=k, max_size=k))
 
 
 WITNESS = {"S": lambda n: st.lists(st.integers(-1, n + 1), max_size=n + 3),

@@ -81,9 +81,9 @@ def test_rows_small_case():
     assert kraw_table(KrawParams(2, 2)) == ((1, 1, 1), (6, 2, -2), (9, -3, 1))
 
 
-def test_table_and_eval_match_defining_sum_exhaustively():
-    # Both come from the degree recurrence; they must agree with the
-    # defining sum everywhere.
+def test_table_matches_defining_sum_exhaustively():
+    # The table and kraw_eval both come from the degree recurrence; they
+    # must agree with the defining sum everywhere.
     for n in range(1, 13):
         for m in (2, 3):
             p = KrawParams(n, m)
