@@ -44,6 +44,9 @@ _BASE = [
     ["check", "--n", "7", "--K", "5/3", "--d", "3", "--m", "2"],
     ["check", "--n", "33", "--K", "2", "--d", "21", "--m", "5"],
     ["check", "--n", "5", "--K", "0", "--d", "3", "--m", "2"],
+    ["table1", "--max-d", "0", "--m", "2"],
+    ["threshold", "--d", "102", "--m", "2"],
+    ["bound", "{tmp}/not_utf8.json"],
 ]
 
 
@@ -75,6 +78,7 @@ def write_inputs(directory: Path) -> None:
     for name, doc in docs.items():
         (directory / name).write_text(json.dumps(doc))
     (directory / "malformed.json").write_text("{not json")
+    (directory / "not_utf8.json").write_bytes(b"\xff")
 
 
 def run(args: list, directory: Path) -> dict:
