@@ -7,9 +7,11 @@ Exit codes are a stable contract:
     3   witness sign conditions failed (report still printed)
     4   no threshold exists: the witness fails at every large length
 
-Library errors become codes 2 and 4 in one place, ``_Main.invoke``.
-``bound`` exits 3 itself, after printing its report.  An input past its
-cap (``MAX_N`` and the rest below) exits 2 before any work.
+Apart from click's own usage errors, exit codes 2, 3 and 4 are decided
+only in ``_Main.invoke``.  Every other failure raises ``DomainError`` or
+``SchemaError`` (2), ``ConditionError`` (3, which ``bound`` raises after
+printing its report) or ``HorizonError`` (4).  An input past its cap
+(``MAX_N`` and the rest below) exits 2 before any work.
 
 Each subcommand computes its result and describes it once, with exact
 values (``Fraction``, ``int``, ``bool``, ``None``), as text lines, a
@@ -25,7 +27,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import NoReturn
 
 import click
 
@@ -71,23 +72,18 @@ def _output_options(func):
     return func
 
 
-def _fail(code: int, message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        _fail(2, f"cannot read {path}: {exc}")
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        _fail(2, f"cannot decode {path}: {exc}")
+        raise SchemaError(f"cannot decode {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        _fail(2, f"malformed JSON in {path}: {exc}")
+        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
     except ValueError as exc:  # an integer beyond the int-string digit limit
-        _fail(2, f"cannot parse {path}: {exc}")
+        raise SchemaError(f"cannot parse {path}: {exc}") from exc
 
 
 def _cell(value) -> str:
@@ -156,20 +152,21 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
             writer.writerows([_cell(v) for v in row.values()] for row in rows)
             out = buf.getvalue()
     except ValueError as exc:  # an integer past the int-string digit limit
-        _fail(2, f"result too large to print: {exc}")
+        raise DomainError(f"result too large to print: {exc}") from exc
     click.echo(out, nl=False)
 
 
 class _Main(click.Group):
-    """The command group; maps library errors to exit codes 2 and 4."""
+    """The command group; maps library errors to exit codes 2, 3 and 4."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (DomainError, SchemaError) as exc:
-            _fail(2, str(exc))
-        except HorizonError as exc:
-            _fail(4, str(exc))
+        except ConditionError:  # the report is already printed
+            sys.exit(3)
+        except (DomainError, SchemaError, HorizonError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(4 if isinstance(exc, HorizonError) else 2)
 
 
 @click.group(cls=_Main)
@@ -254,7 +251,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
         ]
     _emit(fmt, approx, text, obj, rows)
     if not cond.ok:
-        sys.exit(3)
+        raise ConditionError(cond)
 
 
 @main.command()
@@ -290,7 +287,7 @@ def threshold(d: int, m: int, fmt: str, approx: bool) -> None:
 def table1(max_d: int, m: int, fmt: str, approx: bool) -> None:
     """Tabulate thresholds N(d, m) for odd distances d = 1, 3, ..., max-d."""
     if max_d < 1:
-        _fail(2, f"--max-d must be >= 1, got {max_d}")
+        raise DomainError(f"--max-d must be >= 1, got {max_d}")
     _require_caps(("--max-d", max_d, MAX_TABLE1_D), ("--m", m, MAX_M))
     reports = [find_threshold(d, m) for d in range(1, max_d + 1, 2)]
     rows = [
@@ -335,7 +332,7 @@ def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
     _require_caps(("--n", n, MAX_N), ("--d", d, MAX_D), ("--m", m, MAX_M))
     K = parse_rational(dim)
     if K <= 0:
-        _fail(2, f"--K must be positive, got {dim}")
+        raise DomainError(f"--K must be positive, got {dim}")
     h = hamming_rhs(n, d, m)
     s = singleton_rhs(n, d, m)
     report = find_threshold(d, m)

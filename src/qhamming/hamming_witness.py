@@ -122,12 +122,9 @@ def singleton_rhs(n: int, d: int, m: int) -> Fraction:
     A value below 2 means no code carrying information can exist at
     these parameters (dimensions are integers and K = 1 is trivial).
     """
-    if m < 2:
-        raise DomainError(f"level count m must be >= 2, got {m}")
+    KrawParams(n, m)  # checks n and m
     if d < 1:
         raise DomainError(f"distance d must be >= 1, got {d}")
-    if n < 1:
-        raise DomainError(f"code length n must be >= 1, got {n}")
     exp = n - 2 * d + 2
     return Fraction(m**exp) if exp >= 0 else Fraction(1, m**-exp)
 

@@ -76,8 +76,6 @@ def _require_range(name: str, value: int, n: int) -> None:
 
 def kraw_eval(k: int, x: int, p: KrawParams) -> int:
     """Evaluate P_k(x; n): the last row of the degree recurrence at x."""
-    _require_range("degree k", k, p.n)
-    _require_range("point x", x, p.n)
     for (value,) in kraw_recurrence(k, (x,), p):
         pass
     return value
@@ -93,7 +91,7 @@ def kraw_recurrence(k_max: int, xs: Sequence[int], p: KrawParams) -> Iterator[li
     current row stay alive.
     """
     n = p.n
-    _require_range("degree k_max", k_max, n)
+    _require_range("degree k", k_max, n)
     for x in xs:
         _require_range("point x", x, n)
     return _recurrence_rows(k_max, xs, n, p.q)

@@ -156,6 +156,17 @@ def test_singleton_rhs_values():
     assert singleton_rhs(10, 3, 3) == Fraction(3**6)
 
 
+@pytest.mark.parametrize("n, d, m, named", [
+    (0, 3, 2, "code length n must be >= 1, got 0"),
+    (5, 3, 1, "level count m must be >= 2, got 1"),
+    (5, 0, 2, "distance d must be >= 1, got 0"),
+    (0, 0, 1, "code length n must be >= 1, got 0"),  # n is checked first
+])
+def test_singleton_rhs_domain_errors(n, d, m, named):
+    with pytest.raises(DomainError, match=f"^{named}$"):
+        singleton_rhs(n, d, m)
+
+
 def test_check_n_passing_case():
     verdict = check_n(5, 3, 2)
     assert verdict.passed

@@ -66,14 +66,15 @@ def test_eval_at_zero_is_gamma_power_times_binomial():
 
 
 def test_eval_domain_errors():
+    # kraw_eval leaves its checks to kraw_recurrence and keeps their messages.
     p = KrawParams(5, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^degree k must lie in \[0, 5\], got 9$"):
         kraw_eval(9, 0, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^degree k must lie in \[0, 5\], got -1$"):
         kraw_eval(-1, 0, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point x must lie in \[0, 5\], got 6$"):
         kraw_eval(2, 6, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point x must lie in \[0, 5\], got -1$"):
         kraw_eval(2, -1, p)
 
 
@@ -116,9 +117,9 @@ def test_recurrence_at_chosen_points_matches_defining_sum():
 
 def test_recurrence_domain_errors():
     p = KrawParams(4, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^degree k must lie in \[0, 4\], got 5$"):
         kraw_recurrence(5, [0], p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point x must lie in \[0, 4\], got 5$"):
         kraw_recurrence(2, [0, 5], p)
 
 
