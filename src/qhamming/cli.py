@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ MAX_N = 250  # --n of kraw and check; n of bound and macwilliams documents
 MAX_M = 1024  # --m, and m of documents
 MAX_D = 101  # --d of threshold and check
 MAX_TABLE1_D = 61  # --max-d of table1, which scans every odd d up to it
+MAX_LCM_BITS = 3000  # bits of the lcm of a document's denominators, which scales every sum
 
 
 def _require_caps(*checks: tuple[str, int, int]) -> None:
@@ -55,9 +57,19 @@ def _require_caps(*checks: tuple[str, int, int]) -> None:
             raise DomainError(f"{name} must be at most {cap} (input cap), got {value}")
 
 
-def _require_document_caps(p: KrawParams) -> None:
-    """Refuse a document past the caps before its (n+1)^2 table is built."""
+def _require_document_caps(p: KrawParams, values) -> None:
+    """Refuse a document past the caps before its (n+1)^2 table is built.
+
+    The lcm of the denominators of ``values`` is given up as soon as it
+    passes its cap, so huge coprime denominators cost only a few gcds.
+    """
     _require_caps(("field 'n'", p.n, MAX_N), ("field 'm'", p.m, MAX_M))
+    lcm = 1
+    for v in values:
+        lcm = math.lcm(lcm, v.denominator)
+        if lcm.bit_length() > MAX_LCM_BITS:
+            raise DomainError(f"bit length of the denominators' lcm must be at most "
+                              f"{MAX_LCM_BITS} (input cap), got {lcm.bit_length()} or more")
 
 
 def _output_options(func):
@@ -198,7 +210,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
     WITNESS_FILE is JSON: {"n", "m", "S", "coeffs"}.
     """
     poly, S = witness_from_dict(_load_json_file(witness_file))
-    _require_document_caps(poly.params)
+    _require_document_caps(poly.params, poly.coeffs)
     try:
         report = dimension_bound(poly, S)
         cond = ConditionReport(S, True, (), True, ())
@@ -313,7 +325,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
     DIST_FILE is JSON: {"n", "m", "K", "A"}.
     """
     dist = distribution_from_dict(_load_json_file(dist_file))
-    _require_document_caps(dist.params)
+    _require_document_caps(dist.params, dist.entries)
     out = mw_forward(dist) if direction == "forward" else mw_inverse(dist)
     text = [f"n={out.params.n} m={out.params.m} K={out.K}"]
     text += [(f"  A[{i}] = ", a) for i, a in enumerate(out.entries)]

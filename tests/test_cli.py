@@ -3,6 +3,7 @@ import io
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,22 @@ def test_macwilliams_round_trip_canonicalizes(runner, tmp_path):
     assert json.loads(back.output) == {"n": 3, "m": 2, "K": "1/2", "A": ["1", "0", "3", "1/2"]}
 
 
+def test_macwilliams_round_trip_at_the_caps(runner, tmp_path):
+    # The dual's denominators share the factor m^n, so their lcm (2,507
+    # bits here) stays under the cap although their bit lengths add up to
+    # 628,443.
+    n, m = cli.MAX_N, cli.MAX_M
+    A = [str(Fraction(i % 7, 1 + i % 5)) for i in range(n + 1)]
+    path, dual = tmp_path / "d.json", tmp_path / "dual.json"
+    path.write_text(json.dumps({"n": n, "m": m, "K": "3/7", "A": A}))
+    fwd = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path), "--format", "json"])
+    assert fwd.exit_code == 0, fwd.stderr
+    dual.write_text(fwd.output)
+    back = runner.invoke(main, ["macwilliams", "--direction", "inverse", str(dual), "--format", "json"])
+    assert back.exit_code == 0, back.stderr
+    assert json.loads(back.output) == {"n": n, "m": m, "K": "3/7", "A": A}
+
+
 def test_macwilliams_missing_field_exits_2(runner, tmp_path):
     path = tmp_path / "nok.json"
     path.write_text(json.dumps({"n": 2, "m": 2, "A": ["1", "0", "0"]}))
@@ -495,11 +512,15 @@ def test_check_bad_dimension_exits_2(runner):
 # --- input caps -----------------------------------------------------------
 
 
-def _capped_invocations(tmp_path, n, m, d, max_d):
-    """Every command with its capped inputs set to n, m, d and max_d."""
+def _capped_invocations(tmp_path, n, m, d, max_d, lcm_bits):
+    """Every command with its capped inputs set to n, m, d, max_d and lcm_bits.
+
+    The documents' denominators are 2^(lcm_bits - 1) and 1.
+    """
+    entries = [f"1/{2 ** (lcm_bits - 1)}"] + ["1"] * n
     witness, dist = tmp_path / "witness.json", tmp_path / "dist.json"
-    witness.write_text(json.dumps({"n": n, "m": m, "S": [0], "coeffs": ["1"] * (n + 1)}))
-    dist.write_text(json.dumps({"n": n, "m": m, "K": "1", "A": ["1"] * (n + 1)}))
+    witness.write_text(json.dumps({"n": n, "m": m, "S": [0], "coeffs": entries}))
+    dist.write_text(json.dumps({"n": n, "m": m, "K": "1", "A": entries}))
     return [
         ["kraw", "--k", "1", "--x", "0", "--n", str(n), "--m", str(m)],
         ["threshold", "--d", str(d), "--m", str(m)],
@@ -524,19 +545,22 @@ def cheap_threshold(monkeypatch):
 
 
 def test_inputs_at_the_caps_are_accepted(runner, tmp_path, cheap_threshold):
-    for args in _capped_invocations(tmp_path, cli.MAX_N, cli.MAX_M, cli.MAX_D, cli.MAX_TABLE1_D):
+    for args in _capped_invocations(tmp_path, cli.MAX_N, cli.MAX_M, cli.MAX_D, cli.MAX_TABLE1_D,
+                                    cli.MAX_LCM_BITS):
         result = runner.invoke(main, args)
         assert result.exit_code in (0, 3), (args, result.stderr)
     assert (cli.MAX_D, cli.MAX_M) in cheap_threshold
     assert (cli.MAX_TABLE1_D, cli.MAX_M) in cheap_threshold
 
 
-@pytest.mark.parametrize("past", ["n", "m", "d", "max_d"])
+@pytest.mark.parametrize("past", ["n", "m", "d", "max_d", "lcm_bits"])
 def test_inputs_one_past_a_cap_exit_2_before_any_work(runner, tmp_path, cheap_threshold, past):
-    caps = {"n": cli.MAX_N, "m": cli.MAX_M, "d": cli.MAX_D, "max_d": cli.MAX_TABLE1_D}
-    values = {"n": 5, "m": 2, "d": 3, "max_d": 3, past: caps[past] + 1}
+    caps = {"n": cli.MAX_N, "m": cli.MAX_M, "d": cli.MAX_D, "max_d": cli.MAX_TABLE1_D,
+            "lcm_bits": cli.MAX_LCM_BITS}
+    values = {"n": 5, "m": 2, "d": 3, "max_d": 3, "lcm_bits": 1, past: caps[past] + 1}
     takes = {"n": {"kraw", "check", "bound", "macwilliams"}, "m": set(cli.main.commands),
-             "d": {"threshold", "check"}, "max_d": {"table1"}}[past]
+             "d": {"threshold", "check"}, "max_d": {"table1"},
+             "lcm_bits": {"bound", "macwilliams"}}[past]
     for args in _capped_invocations(tmp_path, **values):
         result = runner.invoke(main, args)
         if args[0] in takes:
@@ -608,6 +632,19 @@ def test_readme_flags_are_cli_options():
     commands = [main, *main.commands.values()]
     options = {o for c in commands for p in c.params for o in p.opts + p.secondary_opts}
     assert documented - options == {"--no-build-isolation"}
+
+
+def test_readme_caps_table_matches_the_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Input caps", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| ([^|]+?) \| [^|]+ \| ([\d,]+) \|", section, re.M)
+    assert {name: int(cap.replace(",", "")) for name, cap in rows} == {
+        "`--n`, document `n`": cli.MAX_N,
+        "`--m`, document `m`": cli.MAX_M,
+        "`--d`": cli.MAX_D,
+        "`--max-d`": cli.MAX_TABLE1_D,
+        "bit length of the lcm of a document's denominators": cli.MAX_LCM_BITS,
+    }
 
 
 def test_threshold_commands_take_only_their_inputs():

@@ -3,17 +3,20 @@
 Random small argument vectors go to ``kraw``, ``check``, ``threshold`` and
 ``table1``; random JSON documents go to ``bound`` and ``macwilliams``.
 Whatever the input, the CLI must answer with one of the documented exit
-codes and never end in a traceback.  Now and then an integer input lands
-just past its cap, and the CLI must then exit 2.
+codes and never end in a traceback.  Now and then an integer input, or
+the lcm of a document's denominators, lands just past its cap, and the
+CLI must then exit 2.
 """
 import json
+import math
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qhamming.cli import MAX_D, MAX_M, MAX_N, MAX_TABLE1_D, main
-from qhamming.rational import is_int
+from qhamming.cli import MAX_D, MAX_LCM_BITS, MAX_M, MAX_N, MAX_TABLE1_D, main
+from qhamming.exceptions import SchemaError
+from qhamming.rational import is_array, is_int, parse_rational
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -97,12 +100,17 @@ def _rationals(n):
     """n + 1 rational strings (or another count), one in ten up to 5,000 digits.
 
     A list longer than 15, of a length past the cap, takes its entries from
-    a short fixed list, which is fast to draw.
+    a short fixed list, which is fast to draw.  One list in four has the
+    length n + 1 and denominators whose lcm lands one or two bits past its
+    cap.
     """
     entry = st.one_of(*[_small_rationals] * 9, _rational_strings())
     cheap = st.sampled_from(["0", "1", "-5/3"])
     size = st.one_of(st.just(max(n + 1, 0)), st.integers(0, 14))
-    return size.flatmap(lambda k: st.lists(entry if k <= 15 else cheap, min_size=k, max_size=k))
+    lists = size.flatmap(lambda k: st.lists(entry if k <= 15 else cheap, min_size=k, max_size=k))
+    past = st.integers(1, 2).map(
+        lambda j: [f"1/{3 ** 5}", f"1/{2 ** (MAX_LCM_BITS - 8 + j)}"] + ["1"] * (n - 1))
+    return st.integers(0, 3).flatmap(lambda i: past if i == 0 and n >= 1 else lists)
 
 
 WITNESS = {"S": lambda n: st.lists(st.integers(-1, n + 1), max_size=n + 3),
@@ -117,6 +125,14 @@ def _assert_contract(result, argv, past_a_cap):
         argv, result.exception)
     if past_a_cap:
         assert result.exit_code == 2 and result.stdout == "", (argv, result.output)
+
+
+def _lcm_bits(entries):
+    """Bit length of the lcm of the denominators of ``entries``, or 0 if one does not parse."""
+    try:
+        return math.lcm(*(parse_rational(a).denominator for a in entries)).bit_length()
+    except SchemaError:
+        return 0
 
 
 def _int(text):
@@ -151,6 +167,9 @@ def test_documents_keep_exit_contract(tmp_path, case, output):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     argv = command + [str(path)] + output
-    past_a_cap = isinstance(doc, dict) and any(
-        is_int(doc.get(key)) and doc[key] > cap for key, cap in (("n", MAX_N), ("m", MAX_M)))
+    fields = doc if isinstance(doc, dict) else {}
+    entries = fields.get("coeffs" if command == ["bound"] else "A")
+    past_a_cap = (
+        any(is_int(fields.get(key)) and fields[key] > cap for key, cap in (("n", MAX_N), ("m", MAX_M)))
+        or is_array(entries) and _lcm_bits(entries) > MAX_LCM_BITS)
     _assert_contract(CliRunner().invoke(main, argv), argv, past_a_cap)
