@@ -13,11 +13,17 @@ and c_0(n) = sum_{i<=e} gamma^i C(n, i) is the ball itself.
 When the ratio f(t)/f_t over S is maximized at t = 0, the certified
 dimension bound is therefore the sphere-packing (Hamming) right-hand
 side m^n / c_0(n).  For n >= d that holds iff g(t) != 0 and
-D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for t = 1..2e.  g(t)^2 - 1 and D_t
-are polynomials in n of degree <= 3e; ``_certify`` finds the least n0
-where all their forward differences are >= 0, which proves every
-n >= n0, and ``find_threshold`` decides the lengths d..n0 from the
-certificate's own samples, evaluating each length once.
+D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for t = 1..2e.  These 4e sign
+polynomials p (g(t)^2 - 1 and D_t) have degree <= 3e in n, and
+p(n0 + x) = sum_k Delta^k p(n0) C(x, k), so p >= 0 at every n >= n0 once
+all its forward differences at n0 are; they then stay >= 0 at n0 + 1.
+``find_threshold`` takes 3e + 2 samples (g, c) from n = d, requires each
+difference of order 3e + 1 to vanish (a check on the degree bound), and
+walks each p's vector on its own by Delta^k += Delta^(k+1) to its least
+n0; n0 = max(d, each of these) proves every n >= n0.  A
+negative top nonzero difference means p < 0 at every large n, so no n0
+exists.  The lengths d..n0 are then decided once each, the samples
+serving those they cover.
 
 ``check_n`` decides one length with O(e^2) integer operations and no
 Krawtchouk table.  Outside S both sign conditions hold by construction
@@ -193,43 +199,6 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
     return _verdict(n, d, m, *_sign_values(n, spec.e, m))
 
 
-def _certify(d: int, m: int) -> tuple[int, list[tuple[list[int], list[int]]]]:
-    """Least n0 >= d where forward differences prove every n >= n0 passes.
-
-    Each polynomial p of the module docstring has
-    p(n0 + x) = sum_k Delta^k p(n0) C(x, k), so p >= 0 at every n >= n0
-    when all its forward differences at n0 are.  They come from 3e + 2
-    samples (g, c) from n = d, the last of which must vanish (a check on
-    the degree bound), and n0 moves up by Delta^k += Delta^(k+1).
-    Returns n0 and the samples.  Raises ``HorizonError`` when a top
-    nonzero difference is negative: that p is negative at every large n,
-    so no n0 exists.
-    """
-    e = (d - 1) // 2
-    samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
-    rows = [[x * x - 1 for x in g[1:]]
-            + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])]
-            for g, c in samples]
-    vectors = []
-    for column in map(list, zip(*rows)):
-        diffs = []
-        while column:
-            diffs.append(column[0])
-            column = [b - a for a, b in zip(column, column[1:])]
-        if diffs.pop():
-            raise AssertionError(f"degree bound 3e fails for d={d}, m={m}")
-        if next((x for x in reversed(diffs) if x), 0) < 0:
-            raise HorizonError(f"no threshold for d={d}, m={m}: the witness fails at every large n")
-        vectors.append(diffs)
-    n0 = d
-    while any(x < 0 for v in vectors for x in v):
-        for v in vectors:
-            for k in range(len(v) - 1):
-                v[k] += v[k + 1]
-        n0 += 1
-    return n0, samples
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Least N from which every length passes, proved by the scan to n0 = ``horizon``."""
@@ -258,15 +227,33 @@ class ThresholdReport:
 def find_threshold(d: int, m: int) -> ThresholdReport:
     """Least N from which every length passes, with the scan that proves it.
 
-    ``_certify`` proves that every n >= n0 passes, and each of n = d..n0
-    gets one verdict: the certificate's samples serve the lengths they
-    cover, and only the lengths past them are evaluated anew.  N is one
-    past the last failure (d when none fails).
+    n0 = ``horizon`` comes from the certificate of the module docstring,
+    each of n = d..n0 gets one verdict, and N is one past the last failure
+    (d when none fails).  Raises ``HorizonError`` when no n0 exists.
     """
     if d < 1:
         raise DomainError(f"distance d must be >= 1, got {d}")
-    n0, samples = _certify(d, m)
     e = (d - 1) // 2
+    samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
+    rows = [[x * x - 1 for x in g[1:]]
+            + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])]
+            for g, c in samples]
+    n0 = d
+    for column in map(list, zip(*rows)):
+        diffs = []
+        while column:
+            diffs.append(column[0])
+            column = [b - a for a, b in zip(column, column[1:])]
+        if diffs.pop():
+            raise AssertionError(f"degree bound 3e fails for d={d}, m={m}")
+        if next((x for x in reversed(diffs) if x), 0) < 0:
+            raise HorizonError(f"no threshold for d={d}, m={m}: the witness fails at every large n")
+        n = d
+        while min(diffs) < 0:
+            for k in range(len(diffs) - 1):
+                diffs[k] += diffs[k + 1]
+            n += 1
+        n0 = max(n0, n)
     samples += [_sign_values(n, e, m) for n in range(d + len(samples), n0 + 1)]
     verdicts = tuple(_verdict(n, d, m, g, c) for n, (g, c) in zip(range(d, n0 + 1), samples))
     last_fail = max((v.n for v in verdicts if not v.passed), default=None)
