@@ -20,12 +20,14 @@ second derivation:
   the sign conditions and the dimension bound, adding one ``Fraction``
   term at a time;
 - ``scanned_threshold``: N(d, m) by the finite-scan rule that the
-  forward-difference certificate replaced.
+  forward-difference certificate replaced;
+- ``lockstep_horizon``: the certificate's n0 by walking every difference
+  vector together until none has a negative entry.
 """
 import math
 from fractions import Fraction
 
-from qhamming.hamming_witness import check_n
+from qhamming.hamming_witness import _sign_values, check_n
 from qhamming.krawtchouk import binomial, kraw_table
 from qhamming.lp_bound import BoundReport, ConditionReport
 
@@ -155,3 +157,32 @@ def scanned_threshold(d, m):
     """One past the last failing length in d..max(100, 10d), or d if none fails."""
     fails = [n for n in range(d, max(100, 10 * d) + 1) if not check_n(n, d, m).passed]
     return fails[-1] + 1 if fails else d
+
+
+def lockstep_horizon(d, m):
+    """Least n0 >= d at which every forward difference of every sign polynomial is >= 0.
+
+    Takes the same 3e + 2 samples as ``find_threshold`` and moves all 4e
+    difference vectors up one length at a time, by
+    Delta^k += Delta^(k+1), until no entry of any of them is negative.
+    """
+    e = (d - 1) // 2
+    samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
+    rows = [[x * x - 1 for x in g[1:]]
+            + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])]
+            for g, c in samples]
+    vectors = []
+    for column in map(list, zip(*rows)):
+        diffs = []
+        while column:
+            diffs.append(column[0])
+            column = [b - a for a, b in zip(column, column[1:])]
+        assert diffs.pop() == 0, (d, m)
+        vectors.append(diffs)
+    n0 = d
+    while any(x < 0 for v in vectors for x in v):
+        for v in vectors:
+            for k in range(len(v) - 1):
+                v[k] += v[k + 1]
+        n0 += 1
+    return n0

@@ -25,7 +25,8 @@ from qhamming.hamming_witness import (
 from qhamming.krawtchouk import KrawParams, _kraw_table
 from qhamming.lp_bound import dimension_bound
 
-from oracles import poly_eval, scanned_threshold, squared_partial_sums, witness_value
+from oracles import (lockstep_horizon, poly_eval, scanned_threshold, squared_partial_sums,
+                     witness_value)
 
 
 def test_spec_derived_fields():
@@ -264,6 +265,21 @@ def test_certified_threshold_equals_scan_rule_to_d41():
             assert find_threshold(d, m).threshold == scanned_threshold(d, m), (d, m)
 
 
+def test_horizon_equals_lockstep_walk():
+    # Walking each difference vector alone and taking the largest n0 is
+    # the lockstep walk, since each vector's good n0 are closed upward.
+    for m in range(2, 6):
+        for d in range(1, 16):
+            assert find_threshold(d, m).horizon == lockstep_horizon(d, m), (d, m)
+
+
+@pytest.mark.slow
+def test_horizon_equals_lockstep_walk_to_d41():
+    for m in range(2, 6):
+        for d in range(16, 42):
+            assert find_threshold(d, m).horizon == lockstep_horizon(d, m), (d, m)
+
+
 def test_lengths_from_n0_to_5n0_pass():
     for d, m in ((3, 2), (8, 3), (15, 5), (25, 2)):
         n0 = find_threshold(d, m).horizon
@@ -315,6 +331,16 @@ def test_certificate_requires_nonzero_partial_sums(monkeypatch):
     # holds; only the g(1)^2 - 1 >= 0 vector keeps n0 above 5.
     def fake(n, e, m):
         return [1, n - 5, 1], [1, 0, 0]
+
+    monkeypatch.setattr(hamming_witness, "_sign_values", fake)
+    assert find_threshold(3, 2).horizon == 6
+
+
+def test_certificate_one_binding_difference(monkeypatch):
+    # D_1 = 4 - (10 - n) = n - 6 is the only polynomial negative at
+    # n = 3; g(1)^2 - 1 = 3, g(2)^2 - 1 = 0 and D_2 = 1 need no steps.
+    def fake(n, e, m):
+        return [1, 2, 1], [1, 10 - n, 0]
 
     monkeypatch.setattr(hamming_witness, "_sign_values", fake)
     assert find_threshold(3, 2).horizon == 6
