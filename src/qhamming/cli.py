@@ -382,7 +382,3 @@ def _verdict_word(K: Fraction, rhs: Fraction) -> str:
     if K == rhs:
         return "satisfied with equality"
     return "satisfied" if K < rhs else "violated"
-
-
-if __name__ == "__main__":
-    main()

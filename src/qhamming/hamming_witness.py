@@ -274,8 +274,14 @@ class CoverageEntry:
     n: int
     singleton: Fraction
     hamming: Fraction
-    singleton_le_hamming: bool
-    no_code_possible: bool
+
+    @property
+    def singleton_le_hamming(self) -> bool:
+        return self.singleton <= self.hamming
+
+    @property
+    def no_code_possible(self) -> bool:
+        return self.singleton < 2
 
     @property
     def covered(self) -> bool:
@@ -303,17 +309,6 @@ def verify_small_n_coverage(d: int, m: int, N: int) -> CoverageReport:
     """
     if N < d:
         raise DomainError(f"threshold N must be >= d = {d}, got {N}")
-    entries = []
-    for n in range(d, N):
-        s = singleton_rhs(n, d, m)
-        h = hamming_rhs(n, d, m)
-        entries.append(
-            CoverageEntry(
-                n=n,
-                singleton=s,
-                hamming=h,
-                singleton_le_hamming=s <= h,
-                no_code_possible=s < 2,
-            )
-        )
+    entries = (CoverageEntry(n, singleton_rhs(n, d, m), hamming_rhs(n, d, m))
+               for n in range(d, N))
     return CoverageReport(d, m, N, tuple(entries))
