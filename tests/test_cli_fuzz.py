@@ -5,7 +5,8 @@ Random small argument vectors go to ``kraw``, ``check``, ``threshold`` and
 Whatever the input, the CLI must answer with one of the documented exit
 codes and never end in a traceback.  Now and then an integer input, or
 the lcm of a document's denominators, lands just past its cap, and the
-CLI must then exit 2.
+CLI must then exit 2.  Documents valid in every other field, their lcm
+at the cap or up to five bits past it, check that the cap is exact.
 """
 import json
 import math
@@ -173,3 +174,42 @@ def test_documents_keep_exit_contract(tmp_path, case, output):
         any(is_int(fields.get(key)) and fields[key] > cap for key, cap in (("n", MAX_N), ("m", MAX_M)))
         or is_array(entries) and _lcm_bits(entries) > MAX_LCM_BITS)
     _assert_contract(CliRunner().invoke(main, argv), argv, past_a_cap)
+
+
+@st.composite
+def _at_the_lcm_cap(draw):
+    """A document valid in every field, its lcm at its cap plus j bits, j in 0..5.
+
+    Two entries have the denominators 3^5 (8 bits) and 2^(cap - 8 + j);
+    the rest are integers.
+    """
+    command = draw(st.sampled_from([["bound"], ["macwilliams", "--direction", "forward"],
+                                    ["macwilliams", "--direction", "inverse"]]))
+    n = draw(st.integers(1, 12))
+    j = draw(st.integers(0, 5))
+    entries = draw(st.permutations(
+        [f"1/{3 ** 5}", f"1/{2 ** (MAX_LCM_BITS - 8 + j)}"]
+        + [str(draw(st.integers(-9, 9))) for _ in range(n - 1)]))
+    doc = {"n": n, "m": draw(st.integers(2, 6))}
+    if command == ["bound"]:
+        doc.update(S=draw(st.lists(st.integers(0, n), min_size=1)), coeffs=entries)
+    else:
+        doc.update(K=draw(st.from_regex(r"[1-9]\d{0,2}(/[1-9]\d{0,2})?", fullmatch=True)),
+                   A=entries)
+    return command, doc, j
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_at_the_lcm_cap(), _output.filter(lambda args: "xml" not in args))
+def test_lcm_cap_is_exact(tmp_path, case, output):
+    command, doc, j = case
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = command + [str(path)] + output
+    result = CliRunner().invoke(main, argv)
+    _assert_contract(result, argv, j > 0)
+    if j == 0:
+        assert result.exit_code in (0, 3) and "lcm" not in result.stderr, (argv, result.output)
+    else:
+        assert f"lcm must be at most {MAX_LCM_BITS}" in result.stderr, (argv, result.output)
