@@ -252,32 +252,24 @@ def test_threshold_report_is_proved(d, m):
     assert report.to_dict()["stable_tail"] is True
 
 
-def test_certified_threshold_equals_scan_rule():
+def _assert_matches_old_rules(ds):
+    # N against the finite-scan rule, and n0 against the walk that moved
+    # every difference vector together: walking each alone and taking the
+    # largest n0 agrees, as each vector's good n0 are closed upward.
     for m in range(2, 6):
-        for d in range(1, 16):
-            assert find_threshold(d, m).threshold == scanned_threshold(d, m), (d, m)
+        for d in ds:
+            report = find_threshold(d, m)
+            assert report.threshold == scanned_threshold(d, m), (d, m)
+            assert report.horizon == lockstep_horizon(d, m), (d, m)
+
+
+def test_certified_threshold_equals_scan_rule():
+    _assert_matches_old_rules(range(1, 16))
 
 
 @pytest.mark.slow
 def test_certified_threshold_equals_scan_rule_to_d41():
-    for m in range(2, 6):
-        for d in range(16, 42):
-            assert find_threshold(d, m).threshold == scanned_threshold(d, m), (d, m)
-
-
-def test_horizon_equals_lockstep_walk():
-    # Walking each difference vector alone and taking the largest n0 is
-    # the lockstep walk, since each vector's good n0 are closed upward.
-    for m in range(2, 6):
-        for d in range(1, 16):
-            assert find_threshold(d, m).horizon == lockstep_horizon(d, m), (d, m)
-
-
-@pytest.mark.slow
-def test_horizon_equals_lockstep_walk_to_d41():
-    for m in range(2, 6):
-        for d in range(16, 42):
-            assert find_threshold(d, m).horizon == lockstep_horizon(d, m), (d, m)
+    _assert_matches_old_rules(range(16, 42))
 
 
 def test_lengths_from_n0_to_5n0_pass():
