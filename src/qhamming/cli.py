@@ -226,21 +226,19 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
         "cond1_violations": list(cond.cond1_violations),
         "cond2_ok": cond.cond2_ok,
         "cond2_violations": list(cond.cond2_violations),
-        "bound": None,
-        "bound_floor": None,
-        "argmax_t": None,
-        "ratios": None,
+        "bound": report.bound if report else None,
+        "bound_floor": report.bound_floor if report else None,
+        "argmax_t": report.argmax_t if report else None,
+        "ratios": [{"t": t, "ratio": r} for t, r in report.ratios] if report else None,
     }
     if report is None:
         text.append("conditions: FAILED")
-        if not cond.cond1_ok:
-            where = ",".join(map(str, cond.cond1_violations))
-            text.append(f"  coefficient sign condition violated at t={where}")
-        if not cond.cond2_ok:
-            where = ",".join(map(str, cond.cond2_violations))
-            text.append(f"  value sign condition violated at t={where}")
-        rows = [{"violated_condition": "cond1", "t": t} for t in cond.cond1_violations]
-        rows += [{"violated_condition": "cond2", "t": t} for t in cond.cond2_violations]
+        rows = []
+        for name, kind, where in (("cond1", "coefficient", cond.cond1_violations),
+                                  ("cond2", "value", cond.cond2_violations)):
+            if where:
+                text.append(f"  {kind} sign condition violated at t={','.join(map(str, where))}")
+            rows += [{"violated_condition": name, "t": t} for t in where]
     else:
         text += [
             "conditions: ok",
@@ -250,12 +248,6 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
             "ratios:",
         ]
         text += [(f"  t={t}: ", r) for t, r in report.ratios]
-        obj.update(
-            bound=report.bound,
-            bound_floor=report.bound_floor,
-            argmax_t=report.argmax_t,
-            ratios=[{"t": t, "ratio": r} for t, r in report.ratios],
-        )
         rows = [
             {"t": t, "coeff": str(Fraction(poly.coeffs[t])), "ratio": r, "bound": report.bound,
              "bound_floor": report.bound_floor, "argmax_t": report.argmax_t}

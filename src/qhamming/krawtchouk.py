@@ -112,11 +112,7 @@ def _recurrence_rows(k_max: int, xs: Sequence[int], n: int, q: int) -> Iterator[
 # Callers reuse a table right away (a transform and its inverse on one
 # (n, m), or the values of one witness), so a few entries suffice.
 @lru_cache(maxsize=4)
-def _kraw_table(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, kraw_recurrence(n, range(n + 1), KrawParams(n, m))))
-
-
 def kraw_table(p: KrawParams) -> tuple[tuple[int, ...], ...]:
     """All values P_k(x; n) as ``table[k][x]`` for k, x in {0..n}."""
-    return _kraw_table(p.n, p.m)
+    return tuple(map(tuple, kraw_recurrence(p.n, range(p.n + 1), p)))
 

@@ -22,7 +22,7 @@ from qhamming.hamming_witness import (
     verify_small_n_coverage,
     witness_coeffs,
 )
-from qhamming.krawtchouk import KrawParams, _kraw_table
+from qhamming.krawtchouk import KrawParams, kraw_table
 from qhamming.lp_bound import dimension_bound
 
 from oracles import (lockstep_horizon, poly_eval, scanned_threshold, squared_partial_sums,
@@ -435,7 +435,7 @@ def test_check_n_matches_generic_route():
         for n in range(1, 51):
             for d in range(1, min(11, n) + 1):
                 _assert_matches_generic(n, d, m)
-            _kraw_table.cache_clear()
+            kraw_table.cache_clear()
 
 
 @pytest.mark.slow
@@ -446,13 +446,13 @@ def test_check_n_matches_generic_route_full_grid():
             for d in range(1, min(25, n) + 1):
                 if n <= max(100, 10 * d):
                     _assert_matches_generic(n, d, m)
-            _kraw_table.cache_clear()
+            kraw_table.cache_clear()
 
 
 def test_scan_builds_no_krawtchouk_table():
-    _kraw_table.cache_clear()
+    kraw_table.cache_clear()
     find_threshold(15, 3)
-    assert _kraw_table.cache_info().currsize == 0
+    assert kraw_table.cache_info().currsize == 0
 
 
 def test_value_table_reproduces_closed_form():

@@ -9,7 +9,6 @@ from qhamming.enumerators import make_distribution, mw_forward
 from qhamming.exceptions import DomainError
 from qhamming.krawtchouk import (
     KrawParams,
-    _kraw_table,
     binomial,
     kraw_eval,
     kraw_recurrence,
@@ -181,7 +180,7 @@ def test_partial_sum_shifted_identity_random(n, m, data):
 
 
 def test_table_cache_stays_bounded():
-    maxsize = _kraw_table.cache_parameters()["maxsize"]
+    maxsize = kraw_table.cache_parameters()["maxsize"]
     for n in range(1, maxsize + 4):
         mw_forward(make_distribution(n, 2, 1, [1] + [0] * n))
-    assert _kraw_table.cache_info().currsize <= maxsize
+    assert kraw_table.cache_info().currsize <= maxsize
