@@ -37,13 +37,13 @@ from .exceptions import ConditionError, DomainError, HorizonError, SchemaError
 from .hamming_witness import find_threshold, hamming_rhs, singleton_rhs
 from .krawtchouk import KrawParams, kraw_eval
 from .lp_bound import ConditionReport, dimension_bound, witness_from_dict
-from .rational import approx_decimal, parse_rational, to_wire
+from .rational import approx_decimal, is_array, is_int, parse_rational, to_wire
 
 _FORMATS = click.Choice(["text", "json", "csv"])
 
 # Input caps.  At its caps the slowest accepted input of each command
 # stays within 5 s and 64 MiB on a 2-core host (README, "Input caps").
-MAX_N = 250  # --n of kraw and check; n of bound and macwilliams documents
+MAX_N = 250  # --n of kraw and check; n of bound and macwilliams documents (MAX_N + 1 entries)
 MAX_M = 1024  # --m, and m of documents
 MAX_D = 101  # --d of threshold and check
 MAX_TABLE1_D = 61  # --max-d of table1, which scans every odd d up to it
@@ -57,13 +57,37 @@ def _require_caps(*checks: tuple[str, int, int]) -> None:
             raise DomainError(f"{name} must be at most {cap} (input cap), got {value}")
 
 
-def _require_document_caps(p: KrawParams, values) -> None:
-    """Refuse a document past the caps before its (n+1)^2 table is built.
+def _load_document(path: str, key: str) -> dict:
+    """Load a ``bound`` or ``macwilliams`` document; refuse one past the caps unparsed.
+
+    Once the document is an object with integer ``n`` and ``m`` and an
+    array ``key``, n, m and the array's length are checked before any
+    entry is parsed; any other document is left to its parser's error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+    except ValueError as exc:  # an integer beyond the int-string digit limit
+        raise SchemaError(f"cannot parse {path}: {exc}") from exc
+    if isinstance(doc, dict) and is_int(doc.get("n")) and is_int(doc.get("m")) \
+            and is_array(doc.get(key)):
+        _require_caps(("field 'n'", doc["n"], MAX_N), ("field 'm'", doc["m"], MAX_M),
+                      (f"length of field {key!r}", len(doc[key]), MAX_N + 1))
+    return doc
+
+
+def _require_lcm_cap(values) -> None:
+    """Refuse parsed entries past the lcm cap before their (n+1)^2 table is built.
 
     The lcm of the denominators of ``values`` is given up as soon as it
     passes its cap, so huge coprime denominators cost only a few gcds.
     """
-    _require_caps(("field 'n'", p.n, MAX_N), ("field 'm'", p.m, MAX_M))
     lcm = 1
     for v in values:
         lcm = math.lcm(lcm, v.denominator)
@@ -82,20 +106,6 @@ def _output_options(func):
         help="Append decimal approximations next to exact rationals.",
     )(func)
     return func
-
-
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"cannot decode {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    except ValueError as exc:  # an integer beyond the int-string digit limit
-        raise SchemaError(f"cannot parse {path}: {exc}") from exc
 
 
 def _cell(value) -> str:
@@ -209,8 +219,8 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
 
     WITNESS_FILE is JSON: {"n", "m", "S", "coeffs"}.
     """
-    poly, S = witness_from_dict(_load_json_file(witness_file))
-    _require_document_caps(poly.params, poly.coeffs)
+    poly, S = witness_from_dict(_load_document(witness_file, "coeffs"))
+    _require_lcm_cap(poly.coeffs)
     try:
         report = dimension_bound(poly, S)
         cond = ConditionReport(S, True, (), True, ())
@@ -316,8 +326,8 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 
     DIST_FILE is JSON: {"n", "m", "K", "A"}.
     """
-    dist = distribution_from_dict(_load_json_file(dist_file))
-    _require_document_caps(dist.params, dist.entries)
+    dist = distribution_from_dict(_load_document(dist_file, "A"))
+    _require_lcm_cap(dist.entries)
     out = mw_forward(dist) if direction == "forward" else mw_inverse(dist)
     text = [f"n={out.params.n} m={out.params.m} K={out.K}"]
     text += [(f"  A[{i}] = ", a) for i, a in enumerate(out.entries)]

@@ -233,6 +233,7 @@ def find_threshold(d: int, m: int) -> ThresholdReport:
     """
     if d < 1:
         raise DomainError(f"distance d must be >= 1, got {d}")
+    KrawParams(d, m)  # checks m before any sample is taken
     e = (d - 1) // 2
     samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
     rows = [[x * x - 1 for x in g[1:]]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qhamming import cli, hamming_witness, lp_bound
+from qhamming import cli, enumerators, hamming_witness, lp_bound
 from qhamming.cli import main
 from qhamming.hamming_witness import WitnessSpec, witness_coeffs
 from qhamming.krawtchouk import KrawParams
@@ -110,13 +110,29 @@ def test_bound_json_payload(runner, witness_file):
 
 
 def test_bound_condition_failure_exits_3(runner, tmp_path):
+    # f = P_0 = 1 satisfies cond1 (f_0 = 1 > 0, the rest 0) but fails cond2
+    # at every t outside S = {0}: exactly the cond2 lines, rows and fields.
     doc = {"n": 3, "m": 2, "S": [0], "coeffs": ["1", "0", "0", "0"]}
     path = tmp_path / "unit.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["bound", str(path)])
     assert result.exit_code == 3
-    assert "FAILED" in result.output
-    assert "t=1,2,3" in result.output
+    assert result.stdout == (
+        "n=3 m=2 S=0\n"
+        "conditions: FAILED\n"
+        "  value sign condition violated at t=1,2,3\n"
+    )
+    result = runner.invoke(main, ["bound", str(path), "--format", "csv"])
+    assert result.exit_code == 3
+    assert result.stdout == "violated_condition,t\ncond2,1\ncond2,2\ncond2,3\n"
+    result = runner.invoke(main, ["bound", str(path), "--format", "json"])
+    assert result.exit_code == 3
+    assert json.loads(result.stdout) == {
+        "n": 3, "m": 2, "S": [0], "conditions_ok": False,
+        "cond1_ok": True, "cond1_violations": [],
+        "cond2_ok": False, "cond2_violations": [1, 2, 3],
+        "bound": None, "bound_floor": None, "argmax_t": None, "ratios": None,
+    }
 
 
 def test_bound_malformed_json_exits_2(runner, tmp_path):
@@ -572,6 +588,30 @@ def test_inputs_one_past_a_cap_exit_2_before_any_work(runner, tmp_path, cheap_th
     assert all(d <= cli.MAX_D and m <= cli.MAX_M for d, m in cheap_threshold)
 
 
+@pytest.mark.parametrize("n, m, count, named", [
+    (cli.MAX_N + 1, 2, cli.MAX_N + 2, f"field 'n' must be at most {cli.MAX_N}"),
+    (5, cli.MAX_M + 1, 6, f"field 'm' must be at most {cli.MAX_M}"),
+    (5, 2, cli.MAX_N + 2, f"length of field '{{key}}' must be at most {cli.MAX_N + 1}"),
+], ids=["n", "m", "entries"])
+def test_document_past_a_cap_exits_2_before_any_entry_is_parsed(
+    runner, tmp_path, monkeypatch, n, m, count, named
+):
+    def refuse(text):
+        raise AssertionError("an entry was parsed")
+
+    monkeypatch.setattr(lp_bound, "parse_rational", refuse)
+    monkeypatch.setattr(enumerators, "parse_rational", refuse)
+    for command, key, doc in [
+        (["bound"], "coeffs", {"S": [0]}),
+        (["macwilliams", "--direction", "forward"], "A", {"K": "1"}),
+    ]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"n": n, "m": m, key: ["1"] * count, **doc}))
+        result = runner.invoke(main, [*command, str(path)])
+        assert result.exit_code == 2 and result.stdout == "", (command, result.output)
+        assert result.stderr.startswith(f"error: {named.format(key=key)} (input cap)"), command
+
+
 # --- results past the int-string digit limit -----------------------------
 
 
@@ -643,6 +683,7 @@ def test_readme_caps_table_matches_the_code():
         "`--m`, document `m`": cli.MAX_M,
         "`--d`": cli.MAX_D,
         "`--max-d`": cli.MAX_TABLE1_D,
+        "length of a document's `coeffs` or `A`": cli.MAX_N + 1,
         "bit length of the lcm of a document's denominators": cli.MAX_LCM_BITS,
     }
 

@@ -230,6 +230,14 @@ def test_find_threshold_argument_errors():
         find_threshold(3, 1)
 
 
+def test_find_threshold_checks_m_before_sampling(monkeypatch):
+    # Samples valid at m = 2 would otherwise give a report for m = 1.
+    real = hamming_witness._sign_values
+    monkeypatch.setattr(hamming_witness, "_sign_values", lambda n, e, m: real(n, e, 2))
+    with pytest.raises(DomainError, match="^level count m must be >= 2, got 1$"):
+        find_threshold(3, 1)
+
+
 def test_find_threshold_takes_no_horizon():
     # The certified n0 is the only scan range, so no argument sets one.
     with pytest.raises(TypeError):
