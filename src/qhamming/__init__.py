@@ -10,7 +10,6 @@ product linearization, orthogonality extraction) live in the test
 suite's ``tests/oracles.py``, not in the package.
 """
 from .enumerators import (
-    PurityReport,
     WeightDistribution,
     check_purity_window,
     distribution_from_dict,
@@ -21,8 +20,6 @@ from .enumerators import (
 )
 from .exceptions import ConditionError, DomainError, HorizonError, SchemaError
 from .hamming_witness import (
-    CoverageEntry,
-    CoverageReport,
     NVerdict,
     ThresholdReport,
     WitnessSpec,
@@ -58,15 +55,12 @@ __all__ = [
     "BoundReport",
     "ConditionError",
     "ConditionReport",
-    "CoverageEntry",
-    "CoverageReport",
     "DomainError",
     "ExactScalar",
     "HorizonError",
     "KBasisPoly",
     "KrawParams",
     "NVerdict",
-    "PurityReport",
     "SchemaError",
     "ThresholdReport",
     "WeightDistribution",

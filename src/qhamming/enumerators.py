@@ -85,28 +85,15 @@ def _transform(dist: WeightDistribution, scale: Fraction) -> WeightDistribution:
     )
 
 
-@dataclass(frozen=True)
-class PurityReport:
-    """Per-index equality of a distribution and its dual below d."""
-
-    d: int
-    per_index: tuple[bool, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.per_index)
-
-
 def check_purity_window(
     dist: WeightDistribution, dual: WeightDistribution, d: int
-) -> PurityReport:
-    """Compare entries of ``dist`` and ``dual`` at indices 0..d-1."""
+) -> tuple[int, ...]:
+    """Indices i < d at which ``dist`` and ``dual`` differ (empty when pure)."""
     if dist.params != dual.params or dist.K != dual.K:
         raise DomainError("distributions differ in (n, m, K)")
     if not 1 <= d <= dist.params.n + 1:
         raise DomainError(f"window size d must lie in [1, {dist.params.n + 1}], got {d}")
-    per_index = tuple(dist.entries[i] == dual.entries[i] for i in range(d))
-    return PurityReport(d, per_index)
+    return tuple(i for i in range(d) if dist.entries[i] != dual.entries[i])
 
 
 # --- JSON wire format -------------------------------------------------

@@ -262,54 +262,15 @@ def find_threshold(d: int, m: int) -> ThresholdReport:
     return ThresholdReport(d, m, n0, threshold, verdicts)
 
 
-@dataclass(frozen=True)
-class CoverageEntry:
-    """Can the Singleton bound alone settle one small length?
+def verify_small_n_coverage(d: int, m: int, N: int) -> tuple[int, ...]:
+    """Lengths d <= n < N that the Singleton bound leaves open.
 
-    ``covered`` is true when either every dimension the Singleton bound
-    permits also satisfies the Hamming count, or the Singleton bound
-    already rules out any K >= 2 (no information-carrying code exists,
-    so there is nothing to check).
-    """
-
-    n: int
-    singleton: Fraction
-    hamming: Fraction
-
-    @property
-    def singleton_le_hamming(self) -> bool:
-        return self.singleton <= self.hamming
-
-    @property
-    def no_code_possible(self) -> bool:
-        return self.singleton < 2
-
-    @property
-    def covered(self) -> bool:
-        return self.singleton_le_hamming or self.no_code_possible
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    d: int
-    m: int
-    upto: int  # exclusive: lengths d..upto-1 are examined
-    entries: tuple[CoverageEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(entry.covered for entry in self.entries)
-
-
-def verify_small_n_coverage(d: int, m: int, N: int) -> CoverageReport:
-    """Check lengths below a threshold N against the Singleton bound.
-
-    For each n with d <= n < N the threshold scan says nothing, so the
-    Hamming bound must follow from the Singleton bound instead; vacuous
-    lengths (Singleton right-hand side below 2) count as covered.
+    The threshold scan says nothing below N, so there the Hamming bound
+    must follow from the Singleton bound instead.  A length is open when
+    the Singleton bound permits some K >= 2 (vacuous lengths, where it
+    rules out every information-carrying code, are settled) and that K
+    can exceed the Hamming right-hand side.
     """
     if N < d:
         raise DomainError(f"threshold N must be >= d = {d}, got {N}")
-    entries = (CoverageEntry(n, singleton_rhs(n, d, m), hamming_rhs(n, d, m))
-               for n in range(d, N))
-    return CoverageReport(d, m, N, tuple(entries))
+    return tuple(n for n in range(d, N) if 2 <= singleton_rhs(n, d, m) > hamming_rhs(n, d, m))

@@ -185,14 +185,13 @@ def test_criterion_8_macwilliams_round_trip():
 
 
 def test_criterion_9_small_length_coverage():
-    assert verify_small_n_coverage(3, 2, 5).ok
-    assert verify_small_n_coverage(5, 2, 9).ok
+    assert verify_small_n_coverage(3, 2, 5) == ()
+    assert verify_small_n_coverage(5, 2, 9) == ()
     nonbinary = []
     for m in (3, 4, 5):
         for d in (3, 5):
             report = find_threshold(d, m)
-            coverage = verify_small_n_coverage(d, m, report.threshold)
-            assert coverage.ok, (d, m)
+            assert verify_small_n_coverage(d, m, report.threshold) == (), (d, m)
             nonbinary.append((d, m, report.threshold))
     _report(
         "criterion 9: PASS - singleton covers n < N at (d=3, m=2) and (d=5, m=2); "

@@ -153,30 +153,27 @@ def test_monomial_expansion_identity_spot():
 
 def test_purity_window_equal_distributions():
     dist = make_distribution(3, 2, 2, [1, 0, 3, 4])
-    report = check_purity_window(dist, dist, 4)
-    assert report.ok
-    assert report.per_index == (True, True, True, True)
+    assert check_purity_window(dist, dist, 4) == ()
 
 
 def test_purity_window_detects_mismatch():
     dist = make_distribution(2, 2, 1, [1, 0, 0])
     dual = mw_forward(dist)  # (1/4, 3/2, 9/4) differs at index 0
-    report = check_purity_window(dist, dual, 1)
-    assert not report.ok
-    assert report.per_index == (False,)
+    assert check_purity_window(dist, dual, 1) == (0,)
+    assert check_purity_window(dist, dual, 3) == (0, 1, 2)
 
 
 def test_purity_window_domain_errors():
     a = make_distribution(2, 2, 1, [1, 0, 0])
     b = make_distribution(2, 2, 2, [1, 0, 0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^distributions differ in \(n, m, K\)$"):
         check_purity_window(a, b, 1)  # K differs
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^window size d must lie in \[1, 3\], got 0$"):
         check_purity_window(a, a, 0)  # empty window
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^window size d must lie in \[1, 3\], got 4$"):
         check_purity_window(a, a, 4)  # window beyond n+1
     c = make_distribution(3, 2, 1, [1, 0, 0, 0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^distributions differ in \(n, m, K\)$"):
         check_purity_window(a, c, 1)  # n differs
 
 

@@ -367,39 +367,32 @@ def test_threshold_report_json_shape():
 
 
 def test_coverage_distance_three():
-    report = verify_small_n_coverage(3, 2, 5)
-    assert report.ok
-    assert [e.n for e in report.entries] == [3, 4]
-    assert report.entries[0].singleton == Fraction(1, 2)
-    assert report.entries[0].hamming == Fraction(4, 5)
-    assert report.entries[0].singleton_le_hamming
-    assert report.entries[1].singleton == Fraction(1)
-    assert report.entries[1].hamming == Fraction(16, 13)
-    assert report.entries[1].singleton_le_hamming
+    assert verify_small_n_coverage(3, 2, 5) == ()
+    # n = 3 and n = 4: the Singleton cap never exceeds the Hamming side
+    assert (singleton_rhs(3, 3, 2), hamming_rhs(3, 3, 2)) == (Fraction(1, 2), Fraction(4, 5))
+    assert (singleton_rhs(4, 3, 2), hamming_rhs(4, 3, 2)) == (Fraction(1), Fraction(16, 13))
 
 
 def test_coverage_distance_five_uses_vacuous_lengths():
     # At n=8 the Singleton cap is exactly 1 while the Hamming side is
     # 256/277 < 1: no two-dimensional code can exist there, so the
-    # length is covered vacuously rather than by direct comparison.
-    report = verify_small_n_coverage(5, 2, 9)
-    assert report.ok
-    by_n = {e.n: e for e in report.entries}
-    assert by_n[8].singleton == Fraction(1)
-    assert by_n[8].hamming == Fraction(256, 277)
-    assert not by_n[8].singleton_le_hamming
-    assert by_n[8].no_code_possible
-    assert by_n[8].covered
+    # length is settled vacuously rather than by direct comparison.
+    assert verify_small_n_coverage(5, 2, 9) == ()
+    assert singleton_rhs(8, 5, 2) == 1 > hamming_rhs(8, 5, 2) == Fraction(256, 277)
 
 
 def test_coverage_empty_window():
-    report = verify_small_n_coverage(3, 2, 3)
-    assert report.entries == ()
-    assert report.ok
+    assert verify_small_n_coverage(3, 2, 3) == ()
+
+
+def test_coverage_uncovered_lengths():
+    assert verify_small_n_coverage(7, 2, 14) == (13,)
+    assert verify_small_n_coverage(9, 2, 20) == (17, 18, 19)
+    assert singleton_rhs(13, 7, 2) == 2 > hamming_rhs(13, 7, 2)
 
 
 def test_coverage_argument_error():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^threshold N must be >= d = 5, got 4$"):
         verify_small_n_coverage(5, 2, 4)
 
 
