@@ -43,7 +43,7 @@ _FORMATS = click.Choice(["text", "json", "csv"])
 
 # Input caps.  At its caps the slowest accepted input of each command
 # stays within 5 s and 64 MiB on a 2-core host (README, "Input caps").
-MAX_N = 250  # --n of kraw and check; n of bound and macwilliams documents (MAX_N + 1 entries)
+MAX_N = 250  # --n of kraw and check; n of bound and macwilliams documents (MAX_N + 1 per array)
 MAX_M = 1024  # --m, and m of documents
 MAX_D = 101  # --d of threshold and check
 MAX_TABLE1_D = 61  # --max-d of table1, which scans every odd d up to it
@@ -57,12 +57,12 @@ def _require_caps(*checks: tuple[str, int, int]) -> None:
             raise DomainError(f"{name} must be at most {cap} (input cap), got {value}")
 
 
-def _load_document(path: str, key: str) -> dict:
+def _load_document(path: str) -> dict:
     """Load a ``bound`` or ``macwilliams`` document; refuse one past the caps unparsed.
 
-    Once the document is an object with integer ``n`` and ``m`` and an
-    array ``key``, n, m and the array's length are checked before any
-    entry is parsed; any other document is left to its parser's error.
+    Once the document is an object with integer ``n`` and ``m``, n, m and
+    the length of each of its arrays are checked before any entry is
+    parsed; any other document is left to its parser's error.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -75,10 +75,10 @@ def _load_document(path: str, key: str) -> dict:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
     except ValueError as exc:  # an integer beyond the int-string digit limit
         raise SchemaError(f"cannot parse {path}: {exc}") from exc
-    if isinstance(doc, dict) and is_int(doc.get("n")) and is_int(doc.get("m")) \
-            and is_array(doc.get(key)):
+    if isinstance(doc, dict) and is_int(doc.get("n")) and is_int(doc.get("m")):
         _require_caps(("field 'n'", doc["n"], MAX_N), ("field 'm'", doc["m"], MAX_M),
-                      (f"length of field {key!r}", len(doc[key]), MAX_N + 1))
+                      *((f"length of field {k!r}", len(v), MAX_N + 1)
+                        for k, v in doc.items() if is_array(v)))
     return doc
 
 
@@ -219,7 +219,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
 
     WITNESS_FILE is JSON: {"n", "m", "S", "coeffs"}.
     """
-    poly, S = witness_from_dict(_load_document(witness_file, "coeffs"))
+    poly, S = witness_from_dict(_load_document(witness_file))
     _require_lcm_cap(poly.coeffs)
     try:
         report = dimension_bound(poly, S)
@@ -326,7 +326,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 
     DIST_FILE is JSON: {"n", "m", "K", "A"}.
     """
-    dist = distribution_from_dict(_load_document(dist_file, "A"))
+    dist = distribution_from_dict(_load_document(dist_file))
     _require_lcm_cap(dist.entries)
     out = mw_forward(dist) if direction == "forward" else mw_inverse(dist)
     text = [f"n={out.params.n} m={out.params.m} K={out.K}"]

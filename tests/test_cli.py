@@ -588,23 +588,29 @@ def test_inputs_one_past_a_cap_exit_2_before_any_work(runner, tmp_path, cheap_th
     assert all(d <= cli.MAX_D and m <= cli.MAX_M for d, m in cheap_threshold)
 
 
-@pytest.mark.parametrize("n, m, count, named", [
-    (cli.MAX_N + 1, 2, cli.MAX_N + 2, f"field 'n' must be at most {cli.MAX_N}"),
-    (5, cli.MAX_M + 1, 6, f"field 'm' must be at most {cli.MAX_M}"),
-    (5, 2, cli.MAX_N + 2, f"length of field '{{key}}' must be at most {cli.MAX_N + 1}"),
-], ids=["n", "m", "entries"])
+_BOUND = (["bound"], "coeffs", {"S": [0]})
+_FORWARD = (["macwilliams", "--direction", "forward"], "A", {"K": "1"})
+
+
+@pytest.mark.parametrize("n, m, count, named, cases", [
+    (cli.MAX_N + 1, 2, cli.MAX_N + 2, f"field 'n' must be at most {cli.MAX_N}",
+     [_BOUND, _FORWARD]),
+    (5, cli.MAX_M + 1, 6, f"field 'm' must be at most {cli.MAX_M}", [_BOUND, _FORWARD]),
+    (5, 2, cli.MAX_N + 2, f"length of field '{{key}}' must be at most {cli.MAX_N + 1}",
+     [_BOUND, _FORWARD]),
+    # duplicates in S are allowed, so only the cap bounds its length
+    (5, 2, 6, f"length of field 'S' must be at most {cli.MAX_N + 1}",
+     [(["bound"], "coeffs", {"S": [0] * (cli.MAX_N + 2)})]),
+], ids=["n", "m", "entries", "S"])
 def test_document_past_a_cap_exits_2_before_any_entry_is_parsed(
-    runner, tmp_path, monkeypatch, n, m, count, named
+    runner, tmp_path, monkeypatch, n, m, count, named, cases
 ):
     def refuse(text):
         raise AssertionError("an entry was parsed")
 
     monkeypatch.setattr(lp_bound, "parse_rational", refuse)
     monkeypatch.setattr(enumerators, "parse_rational", refuse)
-    for command, key, doc in [
-        (["bound"], "coeffs", {"S": [0]}),
-        (["macwilliams", "--direction", "forward"], "A", {"K": "1"}),
-    ]:
+    for command, key, doc in cases:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"n": n, "m": m, key: ["1"] * count, **doc}))
         result = runner.invoke(main, [*command, str(path)])
@@ -683,7 +689,7 @@ def test_readme_caps_table_matches_the_code():
         "`--m`, document `m`": cli.MAX_M,
         "`--d`": cli.MAX_D,
         "`--max-d`": cli.MAX_TABLE1_D,
-        "length of a document's `coeffs` or `A`": cli.MAX_N + 1,
+        "length of each array in a document (`S`, `coeffs`, `A`)": cli.MAX_N + 1,
         "bit length of the lcm of a document's denominators": cli.MAX_LCM_BITS,
     }
 
