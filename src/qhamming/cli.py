@@ -129,16 +129,17 @@ def _is_exact(value) -> bool:
     return isinstance(value, Fraction)
 
 
-def _with_approx(rows: list[dict], table=()) -> list[dict]:
+def _with_approx(rows: list[dict]) -> list[dict]:
     """Rows with a ``<key>_approx`` appended for each key exact in some row.
 
-    A value equal to ``table``, the CSV rows that a JSON object may nest,
-    gets its own companions.
+    A value that is itself a nonempty list of rows, such as the ``per_n``
+    or ``ratios`` a JSON object nests, gets its own companions.
     """
     keys = [k for k in rows[0] if any(_is_exact(row[k]) for row in rows)]
     out = []
     for row in rows:
-        row = {k: _with_approx(v) if v == table else v for k, v in row.items()}
+        row = {k: _with_approx(v) if isinstance(v, list) and v and isinstance(v[0], dict) else v
+               for k, v in row.items()}
         row.update((f"{k}_approx", _approx(row[k])) for k in keys)
         out.append(row)
     return out
@@ -164,7 +165,7 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
                 ) + "\n")
             out = "".join(lines)
         elif fmt == "json":
-            out = json.dumps(to_wire(_with_approx([obj], rows)[0] if approx else obj), indent=2) + "\n"
+            out = json.dumps(to_wire(_with_approx([obj])[0] if approx else obj), indent=2) + "\n"
         else:
             if approx:
                 rows = _with_approx(rows)

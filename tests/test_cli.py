@@ -237,6 +237,17 @@ def test_bound_csv_approx_adds_columns(runner, witness_file):
     assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain.output)))
 
 
+def test_bound_json_approx_adds_keys(runner, witness_file):
+    args = ["bound", witness_file, "--format", "json"]
+    plain = json.loads(runner.invoke(main, args).output)
+    result = runner.invoke(main, args + ["--approx"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc.pop("bound_approx") == "2"
+    assert [r.pop("ratio_approx") for r in doc["ratios"]] == ["64", "28.4444444444", "32"]
+    assert doc == plain
+
+
 # --- threshold ----------------------------------------------------------
 
 
