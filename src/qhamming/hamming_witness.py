@@ -266,10 +266,10 @@ def verify_small_n_coverage(d: int, m: int, N: int) -> tuple[int, ...]:
     """Lengths d <= n < N that the Singleton bound leaves open.
 
     The threshold scan says nothing below N, so there the Hamming bound
-    must follow from the Singleton bound instead.  A length is open when
-    the Singleton bound permits some K >= 2 (vacuous lengths, where it
-    rules out every information-carrying code, are settled) and that K
-    can exceed the Hamming right-hand side.
+    must follow from the Singleton bound instead.  A length stays open
+    when the Singleton bound permits some K >= 2 above the Hamming
+    right-hand side; one where it rules out every K >= 2 (no
+    information-carrying code exists) is settled.
     """
     if N < d:
         raise DomainError(f"threshold N must be >= d = {d}, got {N}")
