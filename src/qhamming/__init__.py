@@ -40,7 +40,6 @@ from .krawtchouk import (
 )
 from .lp_bound import (
     BoundReport,
-    ConditionReport,
     KBasisPoly,
     check_conditions,
     dimension_bound,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "ConditionError",
-    "ConditionReport",
     "DomainError",
     "ExactScalar",
     "HorizonError",

@@ -36,7 +36,7 @@ from .enumerators import distribution_from_dict, mw_forward, mw_inverse
 from .exceptions import ConditionError, DomainError, HorizonError, SchemaError
 from .hamming_witness import find_threshold, hamming_rhs, singleton_rhs
 from .krawtchouk import KrawParams, kraw_eval
-from .lp_bound import ConditionReport, dimension_bound, witness_from_dict
+from .lp_bound import dimension_bound, witness_from_dict
 from .rational import approx_decimal, is_array, is_int, parse_rational, to_wire
 
 _FORMATS = click.Choice(["text", "json", "csv"])
@@ -223,30 +223,29 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
     poly, S = witness_from_dict(_load_document(witness_file))
     _require_lcm_cap(poly.coeffs)
     try:
-        report = dimension_bound(poly, S)
-        cond = ConditionReport(S, True, (), True, ())
+        report, (cond1, cond2) = dimension_bound(poly, S), ((), ())
     except ConditionError as exc:
-        report, cond = None, exc.report
+        report, (cond1, cond2) = None, exc.violations
+    floor = math.floor(report.bound) if report else None
     text = [f"n={poly.params.n} m={poly.params.m} S={','.join(map(str, S))}"]
     obj = {
         "n": poly.params.n,
         "m": poly.params.m,
         "S": list(S),
-        "conditions_ok": cond.ok,
-        "cond1_ok": cond.cond1_ok,
-        "cond1_violations": list(cond.cond1_violations),
-        "cond2_ok": cond.cond2_ok,
-        "cond2_violations": list(cond.cond2_violations),
+        "conditions_ok": not (cond1 or cond2),
+        "cond1_ok": not cond1,
+        "cond1_violations": list(cond1),
+        "cond2_ok": not cond2,
+        "cond2_violations": list(cond2),
         "bound": report.bound if report else None,
-        "bound_floor": report.bound_floor if report else None,
+        "bound_floor": floor,
         "argmax_t": report.argmax_t if report else None,
         "ratios": [{"t": t, "ratio": r} for t, r in report.ratios] if report else None,
     }
     if report is None:
         text.append("conditions: FAILED")
         rows = []
-        for name, kind, where in (("cond1", "coefficient", cond.cond1_violations),
-                                  ("cond2", "value", cond.cond2_violations)):
+        for name, kind, where in (("cond1", "coefficient", cond1), ("cond2", "value", cond2)):
             if where:
                 text.append(f"  {kind} sign condition violated at t={','.join(map(str, where))}")
             rows += [{"violated_condition": name, "t": t} for t in where]
@@ -254,19 +253,19 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
         text += [
             "conditions: ok",
             ("bound = ", report.bound),
-            f"bound_floor = {report.bound_floor}",
+            f"bound_floor = {floor}",
             f"argmax_t = {report.argmax_t}",
             "ratios:",
         ]
         text += [(f"  t={t}: ", r) for t, r in report.ratios]
         rows = [
             {"t": t, "coeff": str(Fraction(poly.coeffs[t])), "ratio": r, "bound": report.bound,
-             "bound_floor": report.bound_floor, "argmax_t": report.argmax_t}
+             "bound_floor": floor, "argmax_t": report.argmax_t}
             for t, r in report.ratios
         ]
     _emit(fmt, approx, text, obj, rows)
-    if not cond.ok:
-        raise ConditionError(cond)
+    if report is None:
+        raise ConditionError((cond1, cond2))
 
 
 @main.command()

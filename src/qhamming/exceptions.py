@@ -12,13 +12,14 @@ class SchemaError(ValueError):
 class ConditionError(RuntimeError):
     """A witness polynomial fails its sign conditions.
 
-    Carries the full ``ConditionReport`` so callers can render the
-    violations instead of an unsound bound.
+    ``violations`` is the pair ``check_conditions`` returns: the indices
+    violating condition 1 and those violating condition 2, so callers
+    can render them instead of an unsound bound.
     """
 
-    def __init__(self, report):
+    def __init__(self, violations):
         super().__init__("witness conditions failed; bound not computed")
-        self.report = report
+        self.violations = violations
 
 
 class HorizonError(RuntimeError):

@@ -140,10 +140,7 @@ class NVerdict:
     """Outcome of the witness check at one length."""
 
     n: int
-    d: int
-    m: int
     passed: bool
-    conditions_ok: bool
     argmax_t: Optional[int]
     bound: Optional[Fraction]
     hamming: Fraction
@@ -170,12 +167,12 @@ def _sign_values(n: int, e: int, m: int) -> tuple[list[int], list[int]]:
     return g, [sum(b * binomial(n - t, s) for s, b in enumerate(B[t])) for t in S]
 
 
-def _verdict(n: int, d: int, m: int, g: list[int], c: list[int]) -> NVerdict:
+def _verdict(n: int, m: int, g: list[int], c: list[int]) -> NVerdict:
     """The verdict at length n from ``_sign_values(n, e, m)``."""
     mn = m**n
     hamming = Fraction(mn, c[0])  # c_0 is the ball, so this is hamming_rhs
     if not all(g):
-        return NVerdict(n, d, m, False, False, None, None, hamming)
+        return NVerdict(n, False, None, None, hamming)
     # f(t)/f_t = q^n c[t] / g[t]^2 with g[t]^2 > 0, so compare by cross
     # multiplication; a strict > keeps the smallest index on ties.
     best = 0
@@ -183,7 +180,7 @@ def _verdict(n: int, d: int, m: int, g: list[int], c: list[int]) -> NVerdict:
         if c[t] * g[best] ** 2 > c[best] * g[t] ** 2:
             best = t
     bound = Fraction(mn * c[best], g[best] ** 2)
-    return NVerdict(n, d, m, best == 0, True, best, bound, hamming)
+    return NVerdict(n, best == 0, best, bound, hamming)
 
 
 def check_n(n: int, d: int, m: int) -> NVerdict:
@@ -196,7 +193,7 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
     gives; see the module docstring for the method.
     """
     spec = WitnessSpec(d, KrawParams(n, m))
-    return _verdict(n, d, m, *_sign_values(n, spec.e, m))
+    return _verdict(n, m, *_sign_values(n, spec.e, m))
 
 
 @dataclass(frozen=True)
@@ -256,7 +253,7 @@ def find_threshold(d: int, m: int) -> ThresholdReport:
             n += 1
         n0 = max(n0, n)
     samples += [_sign_values(n, e, m) for n in range(d + len(samples), n0 + 1)]
-    verdicts = tuple(_verdict(n, d, m, g, c) for n, (g, c) in zip(range(d, n0 + 1), samples))
+    verdicts = tuple(_verdict(n, m, g, c) for n, (g, c) in zip(range(d, n0 + 1), samples))
     last_fail = max((v.n for v in verdicts if not v.passed), default=None)
     threshold = d if last_fail is None else last_fail + 1
     return ThresholdReport(d, m, n0, threshold, verdicts)

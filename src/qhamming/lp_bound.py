@@ -15,7 +15,8 @@ Values are integer dot products: over the coefficients' common
 denominator L > 0, L f(t) and L f_t are integers, both conditions read
 their signs, and each ratio is one ``Fraction`` of the two (L cancels).
 
-``check_conditions`` reports every violation; ``dimension_bound``
+``check_conditions`` returns the indices that violate each condition,
+both empty exactly when the witness is valid; ``dimension_bound``
 refuses to produce a number unless both conditions hold, because the
 conclusion is only valid under the hypotheses.  Callers that pick
 S = {0..d-1} (or {0..d-2} for even d) get the code-theoretic reading;
@@ -23,7 +24,6 @@ the raw engine accepts any S and leaves that interpretation to them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -51,22 +51,8 @@ class KBasisPoly:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    index_set: tuple[int, ...]
-    cond1_ok: bool
-    cond1_violations: tuple[int, ...]
-    cond2_ok: bool
-    cond2_violations: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.cond1_ok and self.cond2_ok
-
-
-@dataclass(frozen=True)
 class BoundReport:
     bound: Fraction
-    bound_floor: int
     argmax_t: int
     ratios: tuple[tuple[int, Fraction], ...]  # (t, f(t)/f_t) for t in S, ascending
 
@@ -88,47 +74,32 @@ def _normalize_index_set(S: Iterable[int], n: int) -> tuple[int, ...]:
 
 def _conditions(
     S: tuple[int, ...], values: Sequence[int], coeffs: Sequence[int]
-) -> ConditionReport:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     in_S = set(S)
-    cond1_viol = [t for t, c in enumerate(coeffs) if (c <= 0 if t in in_S else c < 0)]
-    cond2_viol = [t for t, v in enumerate(values) if t not in in_S and v > 0]
-    return ConditionReport(
-        index_set=S,
-        cond1_ok=not cond1_viol,
-        cond1_violations=tuple(cond1_viol),
-        cond2_ok=not cond2_viol,
-        cond2_violations=tuple(cond2_viol),
-    )
+    return (tuple(t for t, c in enumerate(coeffs) if (c <= 0 if t in in_S else c < 0)),
+            tuple(t for t, v in enumerate(values) if t not in in_S and v > 0))
 
 
-def check_conditions(f: KBasisPoly, S: Iterable[int]) -> ConditionReport:
-    """Check both sign conditions, listing every violating index."""
-    indices = _normalize_index_set(S, f.params.n)
-    return _conditions(indices, *_poly_values(f))
+def check_conditions(f: KBasisPoly, S: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Indices failing condition 1 and condition 2, ascending; both empty iff f is valid on S."""
+    return _conditions(_normalize_index_set(S, f.params.n), *_poly_values(f))
 
 
 def dimension_bound(f: KBasisPoly, S: Iterable[int]) -> BoundReport:
     """Exact bound (1/m^n) max_{t in S} f(t)/f_t for a valid witness.
 
-    Raises ``ConditionError`` (carrying the report) if either condition
-    fails.  Ties in the maximum resolve to the smallest index, so the
-    report is deterministic; the bound itself is tie-independent.
+    Raises ``ConditionError`` carrying the ``check_conditions`` pair if
+    either condition fails.  Ties in the maximum resolve to the smallest
+    index, so the report is deterministic; the bound is tie-independent.
     """
     indices = _normalize_index_set(S, f.params.n)
     values, coeffs = _poly_values(f)
-    report = _conditions(indices, values, coeffs)
-    if not report.ok:
-        raise ConditionError(report)
+    violations = _conditions(indices, values, coeffs)
+    if any(violations):
+        raise ConditionError(violations)
     ratios = tuple((t, Fraction(values[t], coeffs[t])) for t in indices)
     best_t, best = max(ratios, key=lambda tr: tr[1])  # the first of equal maxima
-    p = f.params
-    bound = best / p.m**p.n
-    return BoundReport(
-        bound=bound,
-        bound_floor=math.floor(bound),
-        argmax_t=best_t,
-        ratios=ratios,
-    )
+    return BoundReport(best / f.params.m**f.params.n, best_t, ratios)
 
 
 # --- JSON wire format -------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from qhamming.hamming_witness import _sign_values, check_n
 from qhamming.krawtchouk import binomial, kraw_table
-from qhamming.lp_bound import BoundReport, ConditionReport
+from qhamming.lp_bound import BoundReport
 
 # --- Krawtchouk values and the squared-partial-sum witness --------------
 
@@ -131,23 +131,22 @@ def mw_inverse(dual):
 
 
 def reports(f, S):
-    """``(ConditionReport, BoundReport or None)`` for the witness f on S."""
+    """``((cond1 violations, cond2 violations), BoundReport or None)`` for f on S."""
     S = tuple(sorted(set(S)))
     values = [poly_eval(f, t) for t in range(f.params.n + 1)]
-    cond1 = [
+    cond1 = tuple(
         t for t, c in enumerate(f.coeffs) if (not c > 0 if t in S else c < 0)
-    ]
-    cond2 = [t for t in range(f.params.n + 1) if t not in S and values[t] > 0]
-    cond = ConditionReport(S, not cond1, tuple(cond1), not cond2, tuple(cond2))
-    if not cond.ok:
-        return cond, None
+    )
+    cond2 = tuple(t for t in range(f.params.n + 1) if t not in S and values[t] > 0)
+    if cond1 or cond2:
+        return (cond1, cond2), None
     ratios = tuple((t, Fraction(values[t]) / Fraction(f.coeffs[t])) for t in S)
     best_t, best = ratios[0]
     for t, r in ratios[1:]:
         if r > best:
             best_t, best = t, r
     bound = best / f.params.m**f.params.n
-    return cond, BoundReport(bound, math.floor(bound), best_t, ratios)
+    return ((), ()), BoundReport(bound, best_t, ratios)
 
 
 # --- the threshold ------------------------------------------------------

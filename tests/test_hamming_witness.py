@@ -171,7 +171,6 @@ def test_singleton_rhs_domain_errors(n, d, m, named):
 def test_check_n_passing_case():
     verdict = check_n(5, 3, 2)
     assert verdict.passed
-    assert verdict.conditions_ok
     assert verdict.argmax_t == 0
     assert verdict.bound == Fraction(2)
     assert verdict.hamming == Fraction(2)
@@ -180,8 +179,7 @@ def test_check_n_passing_case():
 def test_check_n_failing_case():
     verdict = check_n(4, 3, 2)
     assert not verdict.passed
-    assert verdict.conditions_ok
-    assert verdict.argmax_t == 2
+    assert verdict.argmax_t == 2  # the conditions hold, as argmax_t is set
     assert verdict.bound == Fraction(32, 25)
 
 
@@ -416,9 +414,9 @@ def _generic_verdict(n, d, m):
     try:
         report = dimension_bound(witness_coeffs(spec), spec.index_set)
     except ConditionError:
-        return NVerdict(n, d, m, False, False, None, None, rhs)
+        return NVerdict(n, False, None, None, rhs)
     passed = report.argmax_t == 0 and report.bound == rhs
-    return NVerdict(n, d, m, passed, True, report.argmax_t, report.bound, rhs)
+    return NVerdict(n, passed, report.argmax_t, report.bound, rhs)
 
 
 def _assert_matches_generic(n, d, m):
@@ -503,4 +501,4 @@ def test_check_n_zero_partial_sum_fails_conditions(monkeypatch):
 
     monkeypatch.setattr(hamming_witness, "kraw_recurrence", zero_at_one)
     verdict = check_n(9, 5, 2)
-    assert verdict == NVerdict(9, 5, 2, False, False, None, None, hamming_rhs(9, 5, 2))
+    assert verdict == NVerdict(9, False, None, None, hamming_rhs(9, 5, 2))
