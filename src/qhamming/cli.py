@@ -48,6 +48,7 @@ MAX_M = 1024  # --m, and m of documents
 MAX_D = 101  # --d of threshold and check
 MAX_TABLE1_D = 61  # --max-d of table1, which scans every odd d up to it
 MAX_LCM_BITS = 3000  # bits of the lcm of a document's denominators, which scales every sum
+MAX_DOC_BYTES = 2 * 2**20  # bytes of a document file, checked before it is parsed
 
 
 def _require_caps(*checks: tuple[str, int, int]) -> None:
@@ -60,15 +61,20 @@ def _require_caps(*checks: tuple[str, int, int]) -> None:
 def _load_document(path: str) -> dict:
     """Load a ``bound`` or ``macwilliams`` document; refuse one past the caps unparsed.
 
+    A file past ``MAX_DOC_BYTES`` is refused before any of it is parsed.
     Once the document is an object with integer ``n`` and ``m``, n, m and
     the length of each of its arrays are checked before any entry is
     parsed; any other document is left to its parser's error.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_DOC_BYTES + 1)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_DOC_BYTES:
+        raise DomainError(f"size of {path} must be at most {MAX_DOC_BYTES} bytes (input cap)")
+    try:
+        doc = json.loads(data.decode("utf-8"))  # json.loads on bytes would guess UTF-16 or -32
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot decode {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep

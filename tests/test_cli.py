@@ -629,6 +629,40 @@ def test_document_past_a_cap_exits_2_before_any_entry_is_parsed(
         assert result.stderr.startswith(f"error: {named.format(key=key)} (input cap)"), command
 
 
+@pytest.mark.parametrize("command, doc", [
+    (["bound"], {"n": 1, "m": 2, "S": [0, 1], "coeffs": ["3", "1"]}),
+    (["macwilliams", "--direction", "forward"], {"n": 2, "m": 2, "K": "1", "A": ["1", "0", "0"]}),
+], ids=["bound", "macwilliams"])
+def test_document_past_the_byte_cap_exits_2_unparsed(runner, tmp_path, monkeypatch, command, doc):
+    # Padding makes a valid document exactly as long as the cap, then one byte longer.
+    at_cap, past_cap = tmp_path / "at_cap.json", tmp_path / "past_cap.json"
+    text = json.dumps(doc)
+    at_cap.write_text(text.ljust(cli.MAX_DOC_BYTES))
+    past_cap.write_text(text.ljust(cli.MAX_DOC_BYTES + 1))
+    assert runner.invoke(main, [*command, str(at_cap)]).exit_code == 0
+
+    def refuse(text):
+        raise AssertionError("the document was parsed")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    result = runner.invoke(main, [*command, str(past_cap)])
+    assert result.exit_code == 2 and result.stdout == "", result.output
+    assert result.stderr == (f"error: size of {past_cap} must be at most {cli.MAX_DOC_BYTES} "
+                             "bytes (input cap)\n")
+
+
+def test_largest_document_within_the_caps_loads(tmp_path):
+    # n and m at their caps, S = 0..250, and 251 entries with 4,300-digit
+    # numerators (the int-string limit) over a 904-digit denominator of
+    # 3,000 bits (the lcm cap), indented: 1,310,921 bytes.
+    doc = {"n": cli.MAX_N, "m": cli.MAX_M, "S": list(range(cli.MAX_N + 1)),
+           "coeffs": ["-" + "9" * 4300 + "/1" + "0" * 903] * (cli.MAX_N + 1)}
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert path.stat().st_size == 1_310_921 <= cli.MAX_DOC_BYTES
+    assert cli._load_document(str(path)) == doc
+
+
 # --- results past the int-string digit limit -----------------------------
 
 
@@ -702,6 +736,7 @@ def test_readme_caps_table_matches_the_code():
         "`--max-d`": cli.MAX_TABLE1_D,
         "length of each array in a document (`S`, `coeffs`, `A`)": cli.MAX_N + 1,
         "bit length of the lcm of a document's denominators": cli.MAX_LCM_BITS,
+        "size of a document file, in bytes": cli.MAX_DOC_BYTES,
     }
 
 
