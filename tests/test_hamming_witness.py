@@ -267,6 +267,9 @@ def _assert_matches_old_rules(ds):
             report = find_threshold(d, m)
             assert report.threshold == scanned_threshold(d, m), (d, m)
             assert report.horizon == lockstep_horizon(d, m), (d, m)
+            # the conditions hold iff argmax_t is set, and the length passes iff it is 0
+            assert all(v.passed == (v.argmax_t == 0) and (v.argmax_t is None) == (v.bound is None)
+                       for v in report.per_n), (d, m)
 
 
 def test_certified_threshold_equals_scan_rule():
