@@ -14,7 +14,6 @@ from .enumerators import (
     check_purity_window,
     distribution_from_dict,
     distribution_to_dict,
-    make_distribution,
     mw_forward,
     mw_inverse,
 )
@@ -33,7 +32,6 @@ from .hamming_witness import (
 from .krawtchouk import (
     ExactScalar,
     KrawParams,
-    binomial,
     kraw_eval,
     kraw_recurrence,
     kraw_table,
@@ -64,7 +62,6 @@ __all__ = [
     "WeightDistribution",
     "WitnessSpec",
     "approx_decimal",
-    "binomial",
     "check_conditions",
     "check_n",
     "check_purity_window",
@@ -77,7 +74,6 @@ __all__ = [
     "kraw_eval",
     "kraw_recurrence",
     "kraw_table",
-    "make_distribution",
     "mw_forward",
     "mw_inverse",
     "parse_rational",

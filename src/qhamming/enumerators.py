@@ -16,16 +16,17 @@ common denominator, take each sum as an integer dot product, and build
 one ``Fraction`` per output entry.  Distributions of actual codes are
 entrywise nonnegative and agree with their duals on every index below
 the minimum distance; neither fact is enforced here (transform outputs
-of arbitrary inputs can be negative), but both can be queried.
+of arbitrary inputs can be negative), and ``check_purity_window``
+queries the second.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .exceptions import DomainError, SchemaError
-from .krawtchouk import ExactScalar, KrawParams, kraw_table
+from .krawtchouk import KrawParams, kraw_table
 from .rational import (
     check_document, common_denominator, integer_dots, is_array, parse_rational, to_wire,
 )
@@ -47,22 +48,9 @@ class WeightDistribution:
         if self.K <= 0:
             raise DomainError(f"dimension K must be positive, got {self.K}")
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.entries)
-
     def exact_dict(self) -> dict:
         """The wire document with exact values; ``distribution_to_dict`` renders it."""
         return {"n": self.params.n, "m": self.params.m, "K": self.K, "A": list(self.entries)}
-
-
-def make_distribution(
-    n: int, m: int, K: ExactScalar, entries: Sequence[ExactScalar]
-) -> WeightDistribution:
-    """Convenience constructor coercing entries to ``Fraction``."""
-    return WeightDistribution(
-        KrawParams(n, m), Fraction(K), tuple(Fraction(a) for a in entries)
-    )
 
 
 def mw_forward(dist: WeightDistribution) -> WeightDistribution:

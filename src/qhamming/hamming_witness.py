@@ -41,11 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import add
 from typing import Optional, Sequence
 
 from .exceptions import DomainError, HorizonError
-from .krawtchouk import KrawParams, binomial, kraw_recurrence
+from .krawtchouk import KrawParams, kraw_recurrence
 from .lp_bound import KBasisPoly
 from .rational import to_wire
 
@@ -104,7 +105,7 @@ def _value_table(e: int, m: int) -> tuple[tuple[int, ...], ...]:
         row = []
         for s in range(e + 1):
             lo = max(0, t + s - e)
-            row.append(g**s * sum(binomial(t, a) * binomial(t - a, b) * (g - 1) ** (t - a - b)
+            row.append(g**s * sum(comb(t, a) * comb(t - a, b) * (g - 1) ** (t - a - b)
                                   for a in range(lo, t + 1) for b in range(lo, t - a + 1)))
         table.append(tuple(row))
     return tuple(table)
@@ -118,7 +119,7 @@ def hamming_rhs(n: int, d: int, m: int) -> Fraction:
     """
     e = WitnessSpec(d, KrawParams(n, m)).e
     g = m * m - 1
-    ball = sum(g**i * binomial(n, i) for i in range(e + 1))
+    ball = sum(g**i * comb(n, i) for i in range(e + 1))
     return Fraction(m**n, ball)
 
 
@@ -146,7 +147,7 @@ class NVerdict:
     hamming: Fraction
 
     def exact_dict(self) -> dict:
-        """The ``per_n`` entry with exact values; ``to_dict`` renders it."""
+        """The ``per_n`` entry of a report, with exact values."""
         return {
             "n": self.n,
             "pass": self.passed,
@@ -155,16 +156,13 @@ class NVerdict:
             "hamming_rhs": self.hamming,
         }
 
-    def to_dict(self) -> dict:
-        return to_wire(self.exact_dict())
-
 
 def _sign_values(n: int, e: int, m: int) -> tuple[list[int], list[int]]:
     """g_t(n) and c_t(n) = f(t)/q^n at the points t of S = {0..2e}."""
     S = range(2 * e + 1)
     g = _partial_sums(e, S, KrawParams(n, m))
     B = _value_table(e, m)
-    return g, [sum(b * binomial(n - t, s) for s, b in enumerate(B[t])) for t in S]
+    return g, [sum(b * comb(n - t, s) for s, b in enumerate(B[t])) for t in S]
 
 
 def _verdict(n: int, m: int, g: list[int], c: list[int]) -> NVerdict:

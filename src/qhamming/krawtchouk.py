@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Iterator, Sequence, Union
 
 from .exceptions import DomainError
@@ -56,17 +55,6 @@ class KrawParams:
     def q(self) -> int:
         """Alphabet size m^2 of the underlying Hamming scheme."""
         return self.m * self.m
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b) with the zero-outside-support convention.
-
-    Returns 0 whenever b < 0, b > a, or a < 0, so sums over products of
-    binomials can run over loose index ranges with no special cases.
-    """
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 def _require_range(name: str, value: int, n: int) -> None:

@@ -92,13 +92,13 @@ def check_document(doc, kind: str, keys: Sequence[str]) -> tuple[int, int]:
     return doc["n"], doc["m"]
 
 
-def approx_decimal(value, digits: int = 12) -> str:
-    """Decimal rendering with ``digits`` significant figures.
+def approx_decimal(value) -> str:
+    """Decimal rendering with 12 significant figures.
 
     Display-only; never used in computations.  Uses integer-backed
     decimal arithmetic so arbitrarily large numerators cannot overflow.
     """
     frac = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(Decimal(frac.numerator) / Decimal(frac.denominator))

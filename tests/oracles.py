@@ -6,6 +6,8 @@ formula, term by term in ``int`` and ``Fraction``, so that the engine
 the n-free value table of the threshold scan) is checked against a
 second derivation:
 
+- ``binomial``: C(a, b), zero outside 0 <= b <= a, so that the sums
+  below can run over loose index ranges;
 - ``kraw_sum``: P_k(x; n) by the defining sum, the reference for every
   value of the package's one Krawtchouk route, the degree recurrence;
 - ``partial_sum`` and ``squared_partial_sums``: g(x) = sum_{i<=e} P_i(x)
@@ -18,7 +20,7 @@ second derivation:
   sum_r P_k(r) P_r(t) = q^n delta_{k,t};
 - ``mw_forward``, ``mw_inverse`` and ``reports``: the MacWilliams pair,
   the sign conditions and the dimension bound, adding one ``Fraction``
-  term at a time;
+  term at a time (``distribution`` builds the inputs of the pair);
 - ``scanned_threshold``: N(d, m) by the finite-scan rule that the
   forward-difference certificate replaced;
 - ``lockstep_horizon``: the certificate's n0 by walking every difference
@@ -27,11 +29,19 @@ second derivation:
 import math
 from fractions import Fraction
 
+from qhamming.enumerators import WeightDistribution
 from qhamming.hamming_witness import _sign_values, check_n
-from qhamming.krawtchouk import binomial, kraw_table
+from qhamming.krawtchouk import KrawParams, kraw_table
 from qhamming.lp_bound import BoundReport
 
 # --- Krawtchouk values and the squared-partial-sum witness --------------
+
+
+def binomial(a, b):
+    """C(a, b), and 0 whenever b < 0, b > a or a < 0."""
+    if b < 0 or a < 0 or b > a:
+        return 0
+    return math.comb(a, b)
 
 
 def kraw_sum(k, x, p):
@@ -106,6 +116,11 @@ def kbasis_extract(values, p):
 
 
 # --- MacWilliams pair and witness reports -------------------------------
+
+
+def distribution(n, m, K, entries):
+    """The ``WeightDistribution`` of (n, m) with K and every entry as a ``Fraction``."""
+    return WeightDistribution(KrawParams(n, m), Fraction(K), tuple(map(Fraction, entries)))
 
 
 def mw_forward(dist):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from click.testing import CliRunner
 
 from qhamming.cli import main as cli_main
-from qhamming.enumerators import make_distribution, mw_forward, mw_inverse
+from qhamming.enumerators import mw_forward, mw_inverse
 from qhamming.hamming_witness import (
     WitnessSpec,
     check_n,
@@ -24,7 +24,7 @@ from qhamming.hamming_witness import (
 from qhamming.krawtchouk import KrawParams, kraw_table
 from qhamming.lp_bound import dimension_bound
 
-from oracles import kbasis_extract, linearize_product, poly_eval, witness_value
+from oracles import distribution, kbasis_extract, linearize_product, poly_eval, witness_value
 
 # Reference thresholds for m = 2 (published table of N(d, 2), odd d).
 REFERENCE_THRESHOLDS = {1: 1, 3: 5, 5: 9, 7: 14, 9: 20, 11: 25, 13: 30, 15: 35}
@@ -158,7 +158,7 @@ def test_criterion_8_macwilliams_round_trip():
                     for _ in range(n + 1)
                 ]
                 K = Fraction(rng.randint(1, 64), rng.randint(1, 9))
-                dist = make_distribution(n, m, K, entries)
+                dist = distribution(n, m, K, entries)
                 assert mw_inverse(mw_forward(dist)) == dist
                 count += 1
     # bivariate expansion identity at integer sample points

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhamming.enumerators import make_distribution, mw_forward
+from qhamming.enumerators import mw_forward
 from qhamming.exceptions import DomainError
 from qhamming.krawtchouk import (
     KrawParams,
-    binomial,
     kraw_eval,
     kraw_recurrence,
     kraw_table,
 )
 
-from oracles import kraw_sum, partial_sum
+from oracles import binomial, distribution, kraw_sum, partial_sum
 
 
 def test_binomial_standard_values():
@@ -182,5 +181,5 @@ def test_partial_sum_shifted_identity_random(n, m, data):
 def test_table_cache_stays_bounded():
     maxsize = kraw_table.cache_parameters()["maxsize"]
     for n in range(1, maxsize + 4):
-        mw_forward(make_distribution(n, 2, 1, [1] + [0] * n))
+        mw_forward(distribution(n, 2, 1, [1] + [0] * n))
     assert kraw_table.cache_info().currsize <= maxsize
