@@ -49,6 +49,7 @@ MAX_D = 101  # --d of threshold and check
 MAX_TABLE1_D = 61  # --max-d of table1, which scans every odd d up to it
 MAX_LCM_BITS = 3000  # bits of the lcm of a document's denominators, which scales every sum
 MAX_DOC_BYTES = 2 * 2**20  # bytes of a document file, checked before it is parsed
+MAX_DOC_CONTAINERS = 64  # '{' and '[' bytes of a document file (a valid one has 2 or 3)
 
 
 def _require_caps(*checks: tuple[str, int, int]) -> None:
@@ -61,10 +62,13 @@ def _require_caps(*checks: tuple[str, int, int]) -> None:
 def _load_document(path: str) -> dict:
     """Load a ``bound`` or ``macwilliams`` document; refuse one past the caps unparsed.
 
-    A file past ``MAX_DOC_BYTES`` is refused before any of it is parsed.
-    Once the document is an object with integer ``n`` and ``m``, n, m and
-    the length of each of its arrays are checked before any entry is
-    parsed; any other document is left to its parser's error.
+    A file past ``MAX_DOC_BYTES``, or with more than ``MAX_DOC_CONTAINERS``
+    bytes ``{`` and ``[`` (each may open a container, and parsed small
+    containers outgrow the file many times over), is refused before any
+    of it is parsed.  Once the document is an object with integer ``n``
+    and ``m``, n, m and the length of each of its arrays are checked
+    before any entry is parsed; any other document is left to its
+    parser's error.
     """
     try:
         with open(path, "rb") as handle:
@@ -73,11 +77,13 @@ def _load_document(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if len(data) > MAX_DOC_BYTES:
         raise DomainError(f"size of {path} must be at most {MAX_DOC_BYTES} bytes (input cap)")
+    _require_caps((f"number of '{{' and '[' bytes in {path}",
+                   data.count(b"{") + data.count(b"["), MAX_DOC_CONTAINERS))
     try:
         doc = json.loads(data.decode("utf-8"))  # json.loads on bytes would guess UTF-16 or -32
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot decode {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
     except ValueError as exc:  # an integer beyond the int-string digit limit
         raise SchemaError(f"cannot parse {path}: {exc}") from exc

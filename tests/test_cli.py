@@ -162,8 +162,14 @@ def test_bound_non_utf8_file_exits_2(runner, tmp_path):
     assert result.stderr.startswith(f"error: cannot decode {path}: ")
 
 
-# Nesting deeper than the recursion limit makes json.load raise RecursionError.
+# Nesting deeper than the recursion limit, which would make json.loads
+# raise RecursionError; the container cap refuses it first.
 DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _container_cap_error(path, count):
+    return (f"error: number of '{{' and '[' bytes in {path} must be at most "
+            f"{cli.MAX_DOC_CONTAINERS} (input cap), got {count}\n")
 
 
 def test_bound_deeply_nested_json_exits_2(runner, tmp_path):
@@ -171,7 +177,7 @@ def test_bound_deeply_nested_json_exits_2(runner, tmp_path):
     path.write_text(DEEP)
     result = runner.invoke(main, ["bound", str(path)])
     assert result.exit_code == 2
-    assert result.stderr.startswith(f"error: malformed JSON in {path}: ")
+    assert result.stderr == _container_cap_error(path, 100_000)
 
 
 def test_bound_witness_with_deep_extra_key_exits_2(runner, witness_file, tmp_path):
@@ -181,7 +187,7 @@ def test_bound_witness_with_deep_extra_key_exits_2(runner, witness_file, tmp_pat
     path.write_text(json.dumps(doc)[:-1] + ', "extra": ' + "[" * 3000 + "]" * 3000 + "}")
     result = runner.invoke(main, ["bound", str(path)])
     assert result.exit_code == 2
-    assert result.stderr.startswith(f"error: malformed JSON in {path}: ")
+    assert result.stderr == _container_cap_error(path, 3003)
 
 
 # An integer past Python's 4,300-digit int-string limit, as a JSON number
@@ -435,7 +441,7 @@ def test_macwilliams_deeply_nested_json_exits_2(runner, tmp_path):
     path.write_text(DEEP)
     result = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path)])
     assert result.exit_code == 2
-    assert result.stderr.startswith(f"error: malformed JSON in {path}: ")
+    assert result.stderr == _container_cap_error(path, 100_000)
 
 
 @pytest.mark.parametrize(
@@ -651,6 +657,40 @@ def test_document_past_the_byte_cap_exits_2_unparsed(runner, tmp_path, monkeypat
                              "bytes (input cap)\n")
 
 
+@pytest.mark.parametrize("command, doc", [
+    (["bound"], {"n": 1, "m": 2, "S": [0, 1], "coeffs": ["3", "1"]}),
+    (["macwilliams", "--direction", "forward"], {"n": 2, "m": 2, "K": "1", "A": ["1", "0", "0"]}),
+], ids=["bound", "macwilliams"])
+def test_document_past_the_container_cap_exits_2_unparsed(
+    runner, tmp_path, monkeypatch, command, doc
+):
+    # A valid document whose extra key brings its '{' and '[' bytes to
+    # exactly the cap runs; one more bracket is refused.
+    text = json.dumps(doc)
+    depth = cli.MAX_DOC_CONTAINERS - text.count("[") - text.count("{")
+    at_cap, past_cap = tmp_path / "at_cap.json", tmp_path / "past_cap.json"
+    at_cap.write_text(text[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}")
+    past_cap.write_text(text[:-1] + ', "extra": ' + "[" * (depth + 1) + "]" * (depth + 1) + "}")
+    assert runner.invoke(main, [*command, str(at_cap)]).exit_code == 0
+
+    def refuse(text):
+        raise AssertionError("the document was parsed")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    # 2 MiB arrays of small containers, which parse to 69-114 MiB.
+    bombs = [past_cap]
+    for name, unit in [("nested20", "[" * 20 + "]" * 20), ("triple", "[[[]]]"), ("objects", "{}")]:
+        bombs.append(tmp_path / f"{name}.json")
+        count = (cli.MAX_DOC_BYTES - 2) // (len(unit) + 1)
+        bombs[-1].write_text("[" + ",".join([unit] * count) + "]")
+    for path in bombs:
+        body = path.read_text()
+        assert len(body) <= cli.MAX_DOC_BYTES
+        result = runner.invoke(main, [*command, str(path)])
+        assert result.exit_code == 2 and result.stdout == "", (path, result.output)
+        assert result.stderr == _container_cap_error(path, body.count("[") + body.count("{"))
+
+
 def test_largest_document_within_the_caps_loads(tmp_path):
     # n and m at their caps, S = 0..250, and 251 entries with 4,300-digit
     # numerators (the int-string limit) over a 904-digit denominator of
@@ -737,6 +777,7 @@ def test_readme_caps_table_matches_the_code():
         "length of each array in a document (`S`, `coeffs`, `A`)": cli.MAX_N + 1,
         "bit length of the lcm of a document's denominators": cli.MAX_LCM_BITS,
         "size of a document file, in bytes": cli.MAX_DOC_BYTES,
+        "bytes `{` and `[` in a document file": cli.MAX_DOC_CONTAINERS,
     }
 
 
