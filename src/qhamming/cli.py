@@ -22,7 +22,6 @@ replacing the exact one.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -32,11 +31,9 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .enumerators import distribution_from_dict, mw_forward, mw_inverse
 from .exceptions import ConditionError, DomainError, HorizonError, SchemaError
 from .hamming_witness import find_threshold, hamming_rhs, singleton_rhs
 from .krawtchouk import KrawParams, kraw_eval
-from .lp_bound import dimension_bound, witness_from_dict
 from .rational import approx_decimal, is_array, is_int, parse_rational, to_wire
 
 _FORMATS = click.Choice(["text", "json", "csv"])
@@ -179,6 +176,7 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
         elif fmt == "json":
             out = json.dumps(to_wire(_with_approx([obj])[0] if approx else obj), indent=2) + "\n"
         else:
+            import csv
             if approx:
                 rows = _with_approx(rows)
             buf = io.StringIO()
@@ -232,6 +230,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
 
     WITNESS_FILE is JSON: {"n", "m", "S", "coeffs"}.
     """
+    from .lp_bound import dimension_bound, witness_from_dict
     poly, S = witness_from_dict(_load_document(witness_file))
     _require_lcm_cap(poly.coeffs)
     try:
@@ -338,6 +337,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 
     DIST_FILE is JSON: {"n", "m", "K", "A"}.
     """
+    from .enumerators import distribution_from_dict, mw_forward, mw_inverse
     dist = distribution_from_dict(_load_document(dist_file))
     _require_lcm_cap(dist.entries)
     out = mw_forward(dist) if direction == "forward" else mw_inverse(dist)

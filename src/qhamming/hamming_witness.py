@@ -47,7 +47,6 @@ from typing import Optional, Sequence
 
 from .exceptions import DomainError, HorizonError
 from .krawtchouk import KrawParams, kraw_recurrence
-from .lp_bound import KBasisPoly
 from .rational import to_wire
 
 
@@ -84,6 +83,7 @@ def _partial_sums(e: int, xs: Sequence[int], p: KrawParams) -> list[int]:
 
 def witness_coeffs(spec: WitnessSpec) -> KBasisPoly:
     """Coefficients f_t = g(t)^2 for t = 0..n."""
+    from .lp_bound import KBasisPoly
     p = spec.params
     return KBasisPoly(p, tuple(g**2 for g in _partial_sums(spec.e, range(p.n + 1), p)))
 

@@ -1,19 +1,30 @@
-"""The package's public surface: its export list and the README's library example."""
+"""The package's public surface: its export list, the README's library example,
+and the modules a process loads."""
+import os
 import re
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 import qhamming
+from qhamming.cli import main
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def test_all_lists_every_public_name():
+    # Names are resolved on first access, so vars() holds them only after this.
+    namespace = {}
+    exec("from qhamming import *", namespace)
     public = {name for name, value in vars(qhamming).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(qhamming.__all__) == len(set(qhamming.__all__))
     assert set(qhamming.__all__) == public | {"__version__"}
-    namespace = {}
-    exec("from qhamming import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(qhamming.__all__)
 
 
@@ -26,3 +37,30 @@ def test_readme_library_example_runs_as_documented():
     report = namespace["report"]
     assert report.bound == Fraction(2) == qhamming.hamming_rhs(5, 3, 2)
     assert namespace["find_threshold"](3, 2).threshold == 5
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the package under ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_import_loads_no_submodule():
+    proc = _python("-c", "import sys, qhamming; "
+                         "print(sorted(m for m in sys.modules if m.startswith('qhamming.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("args", [["threshold", "--d", "5", "--m", "2", "--format", "json"],
+                                  ["table1", "--max-d", "7", "--m", "2"]],
+                         ids=["threshold", "table1"])
+def test_scan_process_loads_no_witness_file_engine(args):
+    proc = _python("-X", "importtime", "-m", "qhamming", *args)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "qhamming.hamming_witness" in loaded
+    assert not loaded & {"qhamming.lp_bound", "qhamming.enumerators", "csv"}
+    assert proc.stdout == CliRunner().invoke(main, args).stdout
