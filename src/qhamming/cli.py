@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ MAX_TABLE1_D = 61  # --max-d of table1, which scans every odd d up to it
 MAX_LCM_BITS = 3000  # bits of the lcm of a document's denominators, which scales every sum
 MAX_DOC_BYTES = 2 * 2**20  # bytes of a document file, checked before it is parsed
 MAX_DOC_CONTAINERS = 64  # '{' and '[' bytes of a document file (a valid one has 2 or 3)
+MAX_DIGITS = 4300  # digits of an integer in a document or --K (CPython's int-string limit)
 
 
 def _require_caps(*checks: tuple[str, int, int]) -> None:
@@ -56,16 +58,26 @@ def _require_caps(*checks: tuple[str, int, int]) -> None:
             raise DomainError(f"{name} must be at most {cap} (input cap), got {value}")
 
 
+def _digit_capped(where: str, text: str) -> str:
+    """``text``, once no run of digits in it is longer than ``MAX_DIGITS``."""
+    if len(text) > MAX_DIGITS:
+        longest = max(map(len, re.findall(r"\d+", text)), default=0)
+        _require_caps((f"digits of an integer in {where}", longest, MAX_DIGITS))
+    return text
+
+
 def _load_document(path: str) -> dict:
     """Load a ``bound`` or ``macwilliams`` document; refuse one past the caps unparsed.
 
     A file past ``MAX_DOC_BYTES``, or with more than ``MAX_DOC_CONTAINERS``
     bytes ``{`` and ``[`` (each may open a container, and parsed small
     containers outgrow the file many times over), is refused before any
-    of it is parsed.  Once the document is an object with integer ``n``
-    and ``m``, n, m and the length of each of its arrays are checked
-    before any entry is parsed; any other document is left to its
-    parser's error.
+    of it is parsed.  The parser refuses an integer of more than
+    ``MAX_DIGITS`` digits before ``int()`` reads it.  Once the document
+    is an object with integer ``n`` and ``m``, n, m, the length of each
+    of its arrays and the digits of each string in an array or in ``K``
+    are checked before any entry is parsed; any other document is left
+    to its parser's error.
     """
     try:
         with open(path, "rb") as handle:
@@ -77,17 +89,24 @@ def _load_document(path: str) -> dict:
     _require_caps((f"number of '{{' and '[' bytes in {path}",
                    data.count(b"{") + data.count(b"["), MAX_DOC_CONTAINERS))
     try:
-        doc = json.loads(data.decode("utf-8"))  # json.loads on bytes would guess UTF-16 or -32
+        doc = json.loads(data.decode("utf-8"),  # json.loads on bytes would guess UTF-16 or -32
+                         parse_int=lambda text: int(_digit_capped(path, text)))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"cannot decode {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+    except DomainError:
+        raise
     except ValueError as exc:  # an integer beyond the int-string digit limit
         raise SchemaError(f"cannot parse {path}: {exc}") from exc
     if isinstance(doc, dict) and is_int(doc.get("n")) and is_int(doc.get("m")):
         _require_caps(("field 'n'", doc["n"], MAX_N), ("field 'm'", doc["m"], MAX_M),
                       *((f"length of field {k!r}", len(v), MAX_N + 1)
                         for k, v in doc.items() if is_array(v)))
+        for k, v in doc.items():
+            for text in v if is_array(v) else [v] if k == "K" else []:
+                if isinstance(text, str) and len(text) > MAX_DIGITS:
+                    _digit_capped(f"field {k!r}", text)
     return doc
 
 
@@ -356,7 +375,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
 def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
     """Test parameters (n, K, d, m) against the Hamming and Singleton bounds."""
     _require_caps(("--n", n, MAX_N), ("--d", d, MAX_D), ("--m", m, MAX_M))
-    K = parse_rational(dim)
+    K = parse_rational(_digit_capped("--K", dim))
     if K <= 0:
         raise DomainError(f"--K must be positive, got {dim}")
     h = hamming_rhs(n, d, m)

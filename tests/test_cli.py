@@ -190,28 +190,34 @@ def test_bound_witness_with_deep_extra_key_exits_2(runner, witness_file, tmp_pat
     assert result.stderr == _container_cap_error(path, 3003)
 
 
-# An integer past Python's 4,300-digit int-string limit, as a JSON number
-# (read by json) or inside a rational string (read by parse_rational).
+# An integer past the 4,300-digit cap (Python's default int-string limit),
+# as a JSON number or inside a rational string, and where the error says
+# it is.  The cap is checked before int() reads it.
 HUGE = "9" * 5000
-CANNOT_PARSE = "cannot parse {path}: "
-OUT_OF_RANGE = "rational string out of range: "
+HUGE_WITNESSES = [
+    ('{"n": HUGE, "m": 2, "S": [0], "coeffs": ["1"]}', "{path}"),
+    ('{"n": 1, "m": 2, "S": [HUGE], "coeffs": ["1", "1"]}', "{path}"),
+    ('{"n": 1, "m": 2, "S": [0], "coeffs": ["HUGE", "1"]}', "field 'coeffs'"),
+]
+HUGE_DISTRIBUTIONS = [
+    ('{"n": HUGE, "m": 2, "K": "1", "A": ["1"]}', "{path}"),
+    ('{"n": 1, "m": 2, "K": "1/HUGE", "A": ["1", "0"]}', "field 'K'"),
+]
 
 
-@pytest.mark.parametrize(
-    "text, prefix",
-    [
-        ('{"n": HUGE, "m": 2, "S": [0], "coeffs": ["1"]}', CANNOT_PARSE),
-        ('{"n": 1, "m": 2, "S": [HUGE], "coeffs": ["1", "1"]}', CANNOT_PARSE),
-        ('{"n": 1, "m": 2, "S": [0], "coeffs": ["HUGE", "1"]}', OUT_OF_RANGE),
-    ],
-    ids=["n", "S", "coeffs"],
-)
-def test_bound_integer_past_digit_limit_exits_2(runner, tmp_path, text, prefix):
+def _assert_digit_cap_exit(runner, tmp_path, args, text, where):
+    """Run ``args`` on ``text`` with HUGE filled in; it must exit 2 naming the digit cap."""
     path = tmp_path / "huge.json"
     path.write_text(text.replace("HUGE", HUGE))
-    result = runner.invoke(main, ["bound", str(path)])
-    assert result.exit_code == 2
-    assert result.stderr.startswith("error: " + prefix.format(path=path))
+    result = runner.invoke(main, [*args, str(path)] if text else args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == (f"error: digits of an integer in {where.format(path=path)} must be "
+                             f"at most {cli.MAX_DIGITS} (input cap), got {len(HUGE)}\n")
+
+
+@pytest.mark.parametrize("text, where", HUGE_WITNESSES, ids=["n", "S", "coeffs"])
+def test_bound_integer_past_digit_limit_exits_2(runner, tmp_path, text, where):
+    _assert_digit_cap_exit(runner, tmp_path, ["bound"], text, where)
 
 
 def test_bound_evaluates_witness_once(runner, witness_file, tmp_path, monkeypatch):
@@ -444,20 +450,28 @@ def test_macwilliams_deeply_nested_json_exits_2(runner, tmp_path):
     assert result.stderr == _container_cap_error(path, 100_000)
 
 
+@pytest.mark.parametrize("text, where", HUGE_DISTRIBUTIONS, ids=["n", "K"])
+def test_macwilliams_integer_past_digit_limit_exits_2(runner, tmp_path, text, where):
+    _assert_digit_cap_exit(runner, tmp_path, ["macwilliams", "--direction", "forward"], text, where)
+
+
 @pytest.mark.parametrize(
-    "text, prefix",
-    [
-        ('{"n": HUGE, "m": 2, "K": "1", "A": ["1"]}', CANNOT_PARSE),
-        ('{"n": 1, "m": 2, "K": "1/HUGE", "A": ["1", "0"]}', OUT_OF_RANGE),
-    ],
-    ids=["n", "K"],
+    "args, text, where",
+    [(["bound"], *case) for case in HUGE_WITNESSES]
+    + [(["macwilliams", "--direction", "inverse"], *case) for case in HUGE_DISTRIBUTIONS]
+    + [(["check", "--n", "5", "--K", HUGE, "--d", "3", "--m", "2"], "", "--K")],
+    ids=["n", "S", "coeffs", "distribution_n", "K", "check_K"],
 )
-def test_macwilliams_integer_past_digit_limit_exits_2(runner, tmp_path, text, prefix):
-    path = tmp_path / "huge.json"
-    path.write_text(text.replace("HUGE", HUGE))
-    result = runner.invoke(main, ["macwilliams", "--direction", "forward", str(path)])
-    assert result.exit_code == 2
-    assert result.stderr.startswith("error: " + prefix.format(path=path))
+def test_integer_past_the_digit_cap_exits_2_with_the_limit_lifted(runner, tmp_path, args, text,
+                                                                   where):
+    # Without the cap, int() would read each of these, and a document's
+    # parse and transform would grow with its digits.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _assert_digit_cap_exit(runner, tmp_path, args, text, where)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_macwilliams_json_approx_adds_keys(runner, dist_file):
@@ -778,6 +792,8 @@ def test_readme_caps_table_matches_the_code():
         "bit length of the lcm of a document's denominators": cli.MAX_LCM_BITS,
         "size of a document file, in bytes": cli.MAX_DOC_BYTES,
         "bytes `{` and `[` in a document file": cli.MAX_DOC_CONTAINERS,
+        "digits of an integer in a document (`n`, `m`, `S`, and each numerator and denominator"
+        " in `coeffs`, `A` and `K`) or in `--K`": cli.MAX_DIGITS,
     }
 
 
