@@ -95,7 +95,7 @@ def _load_document(path: str) -> dict:
         raise SchemaError(f"cannot decode {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    except DomainError:
+    except DomainError:  # the digit cap, from parse_int; a ValueError too
         raise
     except ValueError as exc:  # an integer beyond the int-string digit limit
         raise SchemaError(f"cannot parse {path}: {exc}") from exc
