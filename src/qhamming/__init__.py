@@ -11,9 +11,9 @@ suite's ``tests/oracles.py``, not in the package.
 """
 import importlib
 
-# Each exported name, under the submodule that defines it.  A submodule is
-# imported the first time one of its names is read, so a command loads
-# only the engine it runs.
+# Each exported name, under the submodule that defines it: the one list of public
+# names, behind ``__all__`` and ``__dir__``.  A submodule is imported the first
+# time one of its names is read, so a command loads only the engine it runs.
 _SUBMODULE = {
     name: module
     for module, names in {
@@ -40,41 +40,11 @@ def __getattr__(name: str):
     return value
 
 
+def __dir__() -> list[str]:
+    """Every module attribute and every exported name, resolved or not."""
+    return sorted(globals().keys() | _SUBMODULE.keys())
+
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ConditionError",
-    "DomainError",
-    "ExactScalar",
-    "HorizonError",
-    "KBasisPoly",
-    "KrawParams",
-    "NVerdict",
-    "SchemaError",
-    "ThresholdReport",
-    "WeightDistribution",
-    "WitnessSpec",
-    "approx_decimal",
-    "check_conditions",
-    "check_n",
-    "check_purity_window",
-    "dimension_bound",
-    "distribution_from_dict",
-    "distribution_to_dict",
-    "find_threshold",
-    "format_rational",
-    "hamming_rhs",
-    "kraw_eval",
-    "kraw_recurrence",
-    "kraw_table",
-    "mw_forward",
-    "mw_inverse",
-    "parse_rational",
-    "singleton_rhs",
-    "verify_small_n_coverage",
-    "witness_coeffs",
-    "witness_from_dict",
-    "witness_to_dict",
-    "__version__",
-]
+__all__ = [*sorted(_SUBMODULE), "__version__"]

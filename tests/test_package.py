@@ -53,6 +53,14 @@ def test_import_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+def test_dir_lists_every_export_before_first_use():
+    proc = _python("-c", "import sys, qhamming; "
+                         "print([n for n in qhamming.__all__ if dir(qhamming).count(n) != 1]); "
+                         "print(sorted(m for m in sys.modules if m.startswith('qhamming.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+
+
 @pytest.mark.parametrize("args", [["threshold", "--d", "5", "--m", "2", "--format", "json"],
                                   ["table1", "--max-d", "7", "--m", "2"]],
                          ids=["threshold", "table1"])
