@@ -18,7 +18,7 @@ from operator import mul
 
 from .exceptions import SchemaError
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:

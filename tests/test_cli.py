@@ -556,6 +556,21 @@ def test_check_bad_dimension_exits_2(runner):
     assert result.exit_code == 2
 
 
+# Arabic-Indic and fullwidth digits: int() reads them, the wire format does not.
+@pytest.mark.parametrize("args, doc, text", [
+    (["bound"], {"n": 1, "m": 2, "S": [0], "coeffs": ["1", "\u0661\u0662"]}, "\u0661\u0662"),
+    (["macwilliams", "--direction", "forward"], {"n": 1, "m": 2, "K": "\uff11\uff12/7",
+                                                 "A": ["1", "0"]}, "\uff11\uff12/7"),
+    (["check", "--n", "5", "--K", "\u0662", "--d", "3", "--m", "2"], None, "\u0662"),
+], ids=["coeffs", "K", "check_K"])
+def test_non_ascii_digits_exit_2(runner, tmp_path, args, doc, text):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, args + [str(path)] if doc else args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == f"error: not a rational string: {text!r}\n"
+
+
 # --- input caps -----------------------------------------------------------
 
 

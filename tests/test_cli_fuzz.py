@@ -38,7 +38,7 @@ def _upto_or_past(top, cap):
 
 
 _garbage = st.text(max_size=4)
-_small_rationals = st.from_regex(r"[+-]?\d{1,3}(/[1-9]\d{0,2})?", fullmatch=True)
+_small_rationals = st.from_regex(r"[+-]?[0-9]{1,3}(/[1-9][0-9]{0,2})?", fullmatch=True)
 _output = st.tuples(
     st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]]),
     st.sampled_from([[], ["--approx"]]),
@@ -194,7 +194,7 @@ def _at_the_lcm_cap(draw):
     if command == ["bound"]:
         doc.update(S=draw(st.lists(st.integers(0, n), min_size=1)), coeffs=entries)
     else:
-        doc.update(K=draw(st.from_regex(r"[1-9]\d{0,2}(/[1-9]\d{0,2})?", fullmatch=True)),
+        doc.update(K=draw(st.from_regex(r"[1-9][0-9]{0,2}(/[1-9][0-9]{0,2})?", fullmatch=True)),
                    A=entries)
     return command, doc, j
 
