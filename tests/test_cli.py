@@ -744,6 +744,24 @@ def digit_limit():
     sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.parametrize("args, doc, message", [
+    (["bound"], '{"n": HUGE, "m": 2, "S": [0], "coeffs": ["1"]}', "cannot parse {path}"),
+    (["macwilliams", "--direction", "forward"], '{"n": 1, "m": 2, "K": "1", "A": ["HUGE", "0"]}',
+     "rational string out of range"),
+    (["check", "--n", "5", "--K", "9" * 1000, "--d", "3", "--m", "2"], None,
+     "rational string out of range"),
+], ids=["n", "A", "check_K"])
+def test_input_past_a_lowered_digit_limit_exits_2(runner, tmp_path, digit_limit, args, doc,
+                                                  message):
+    # 1,000 digits: within the digit cap, past the lowered int-string limit.
+    path = tmp_path / "doc.json"
+    if doc:
+        path.write_text(doc.replace("HUGE", "9" * 1000))
+    result = runner.invoke(main, args + [str(path)] if doc else args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith(f"error: {message.format(path=path)}: ")
+
+
 def _assert_too_large(result):
     assert result.exit_code == 2
     assert result.stdout == ""
