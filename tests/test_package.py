@@ -39,6 +39,15 @@ def test_readme_library_example_runs_as_documented():
     assert namespace["find_threshold"](3, 2).threshold == 5
 
 
+def test_readme_modules_name_every_export():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nModules:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = dict(re.findall(r"^- `qhamming\.(\w+)` - (.*?)(?=\n- |\Z)", section, re.M | re.S))
+    missing = [(module, name) for name, module in qhamming._SUBMODULE.items()
+               if not re.search(rf"`{name}[`(]", bullets.get(module, ""))]
+    assert missing == []
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on the package under ``src``."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
