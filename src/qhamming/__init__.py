@@ -20,8 +20,8 @@ _SUBMODULE = {
         "enumerators": "WeightDistribution check_purity_window distribution_from_dict "
                        "distribution_to_dict mw_forward mw_inverse",
         "exceptions": "ConditionError DomainError HorizonError SchemaError",
-        "hamming_witness": "NVerdict ThresholdReport WitnessSpec check_n find_threshold "
-                           "hamming_rhs singleton_rhs verify_small_n_coverage witness_coeffs",
+        "hamming_witness": "NVerdict ThresholdReport check_n find_threshold hamming_rhs "
+                           "singleton_rhs verify_small_n_coverage witness_coeffs",
         "krawtchouk": "ExactScalar KrawParams kraw_eval kraw_recurrence kraw_table",
         "lp_bound": "BoundReport KBasisPoly check_conditions dimension_bound "
                     "witness_from_dict witness_to_dict",

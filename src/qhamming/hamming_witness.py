@@ -29,12 +29,14 @@ serving those they cover.
 Krawtchouk table.  Outside S both sign conditions hold by construction
 (f_t = g(t)^2 >= 0 and f(t) = 0), and on S
 c_t(n) = sum_{s<=e} B[t][s] C(n-t, s) with the n-free count table B of
-``_value_table``.  The generic route, ``witness_coeffs`` with
-``lp_bound.dimension_bound``, gives the same verdict over every t in
-0..n.  Both take g from ``_partial_sums``, the sum of the rows of the degree
-recurrence ``kraw_recurrence``.  The independent routes that cross-check
-them (the defining sums, the closed forms, product linearization and
-the orthogonality extraction) live in ``tests/oracles.py``.
+``_value_table``.  The generic route,
+``lp_bound.dimension_bound(*witness_coeffs(n, d, m))``, gives the same
+verdict over every t in 0..n.  Both take g from ``_partial_sums``, the sum
+of the rows of the degree recurrence ``kraw_recurrence``, and e from
+``_radius``, the one check of (n, d, m).  The independent routes that
+cross-check them (the defining sums, the closed forms, product
+linearization and the orthogonality extraction) live in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -50,27 +52,12 @@ from .krawtchouk import KrawParams, kraw_recurrence
 from .rational import to_wire
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
-    """Distance d plus the family parameters; fixes e and the index set."""
-
-    d: int
-    params: KrawParams
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.d <= self.params.n:
-            raise DomainError(
-                f"distance d must lie in [1, {self.params.n}], got {self.d}"
-            )
-
-    @property
-    def e(self) -> int:
-        return (self.d - 1) // 2
-
-    @property
-    def index_set(self) -> tuple[int, ...]:
-        # {0..d-1} for odd d and {0..d-2} for even d are both {0..2e}.
-        return tuple(range(2 * self.e + 1))
+def _radius(n: int, d: int, m: int) -> int:
+    """e = floor((d-1)/2), once n and m are valid and 1 <= d <= n."""
+    KrawParams(n, m)
+    if not 1 <= d <= n:
+        raise DomainError(f"distance d must lie in [1, {n}], got {d}")
+    return (d - 1) // 2
 
 
 def _partial_sums(e: int, xs: Sequence[int], p: KrawParams) -> list[int]:
@@ -81,11 +68,15 @@ def _partial_sums(e: int, xs: Sequence[int], p: KrawParams) -> list[int]:
     return total
 
 
-def witness_coeffs(spec: WitnessSpec) -> KBasisPoly:
-    """Coefficients f_t = g(t)^2 for t = 0..n."""
+def witness_coeffs(n: int, d: int, m: int) -> tuple[KBasisPoly, tuple[int, ...]]:
+    """The coefficients f_t = g(t)^2 for t = 0..n, and the index set S = {0..2e}.
+
+    {0..d-1} for odd d and {0..d-2} for even d are both {0..2e}.
+    """
     from .lp_bound import KBasisPoly
-    p = spec.params
-    return KBasisPoly(p, tuple(g**2 for g in _partial_sums(spec.e, range(p.n + 1), p)))
+    e, p = _radius(n, d, m), KrawParams(n, m)
+    f = KBasisPoly(p, tuple(g**2 for g in _partial_sums(e, range(n + 1), p)))
+    return f, tuple(range(2 * e + 1))
 
 
 @lru_cache(maxsize=128)
@@ -117,7 +108,7 @@ def hamming_rhs(n: int, d: int, m: int) -> Fraction:
     K <= m^n / sum_{i=0}^{e} gamma^i C(n, i) with e = floor((d-1)/2),
     returned as an exact rational.
     """
-    e = WitnessSpec(d, KrawParams(n, m)).e
+    e = _radius(n, d, m)
     g = m * m - 1
     ball = sum(g**i * comb(n, i) for i in range(e + 1))
     return Fraction(m**n, ball)
@@ -187,11 +178,10 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
     Passes iff the sign conditions hold and the ratio maximum sits at
     t = 0 (ties count, since the smallest index wins them); the bound is
     then the Hamming right-hand side, as c_0 = g(0).  The verdict equals
-    the one ``dimension_bound(witness_coeffs(spec), spec.index_set)``
-    gives; see the module docstring for the method.
+    the one ``dimension_bound(*witness_coeffs(n, d, m))`` gives; see the
+    module docstring for the method.
     """
-    spec = WitnessSpec(d, KrawParams(n, m))
-    return _verdict(n, m, *_sign_values(n, spec.e, m))
+    return _verdict(n, m, *_sign_values(n, _radius(n, d, m), m))
 
 
 @dataclass(frozen=True)
@@ -268,4 +258,5 @@ def verify_small_n_coverage(d: int, m: int, N: int) -> tuple[int, ...]:
     """
     if N < d:
         raise DomainError(f"threshold N must be >= d = {d}, got {N}")
+    _radius(d, d, m)  # the checks of the first length n = d, also when N == d
     return tuple(n for n in range(d, N) if 2 <= singleton_rhs(n, d, m) > hamming_rhs(n, d, m))

@@ -25,10 +25,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or an integer string into a ``Fraction``."""
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational string, got {type(text).__name__}")
-    s = text.strip()
-    if not _RATIONAL_RE.fullmatch(s):
+    if not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"not a rational string: {text!r}")
-    num, _, den = s.partition("/")
+    num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den or 1)
     except ValueError as exc:  # an integer beyond the int-string digit limit

@@ -63,10 +63,10 @@ def partial_sum(e, x, p):
     return sum(kraw_sum(i, x, p) for i in range(e + 1))
 
 
-def squared_partial_sums(spec):
-    """The witness coefficients f_t = g(t)^2 for t = 0..n."""
-    p = spec.params
-    return tuple(partial_sum(spec.e, t, p) ** 2 for t in range(p.n + 1))
+def squared_partial_sums(n, d, m):
+    """The witness coefficients f_t = g(t)^2 for t = 0..n, e = floor((d-1)/2)."""
+    p = KrawParams(n, m)
+    return tuple(partial_sum((d - 1) // 2, t, p) ** 2 for t in range(n + 1))
 
 
 def product_coeff(i, j, k, p):
@@ -90,9 +90,9 @@ def linearize_product(i, j, p):
     return tuple(product_coeff(i, j, k, p) for k in range(p.n + 1))
 
 
-def witness_value(t, spec):
+def witness_value(t, n, d, m):
     """f(t) = q^n sum_{i,j<=e} c_t(i, j): the closed-form witness value."""
-    p, e = spec.params, spec.e
+    p, e = KrawParams(n, m), (d - 1) // 2
     pairs = sum(product_coeff(i, j, t, p) for i in range(e + 1) for j in range(e + 1))
     return p.q**p.n * pairs
 

@@ -14,7 +14,6 @@ from click.testing import CliRunner
 from qhamming.cli import main as cli_main
 from qhamming.enumerators import mw_forward, mw_inverse
 from qhamming.hamming_witness import (
-    WitnessSpec,
     check_n,
     find_threshold,
     hamming_rhs,
@@ -125,10 +124,9 @@ def test_criterion_6_closed_form_consistency():
                 d = 2 * e + 1
                 if d > n:
                     continue
-                spec = WitnessSpec(d, KrawParams(n, m))
-                f = witness_coeffs(spec)
+                f = witness_coeffs(n, d, m)[0]
                 for t in range(n + 1):
-                    value = witness_value(t, spec)
+                    value = witness_value(t, n, d, m)
                     assert value == poly_eval(f, t), (n, m, e, t)
                     if t > 2 * e:
                         assert value == 0, (n, m, e, t)
@@ -140,8 +138,7 @@ def test_criterion_7_hamming_coincidence():
     count = 0
     for d, N in REFERENCE_THRESHOLDS.items():
         for n in range(N, 61):
-            spec = WitnessSpec(d, KrawParams(n, 2))
-            report = dimension_bound(witness_coeffs(spec), spec.index_set)
+            report = dimension_bound(*witness_coeffs(n, d, 2))
             assert report.bound == hamming_rhs(n, d, 2), (d, n)
             count += 1
     _report(f"criterion 7: PASS - witness bound equals hamming_rhs at {count} lengths")

@@ -11,8 +11,7 @@ from click.testing import CliRunner
 
 from qhamming import cli, enumerators, hamming_witness, lp_bound
 from qhamming.cli import main
-from qhamming.hamming_witness import WitnessSpec, witness_coeffs
-from qhamming.krawtchouk import KrawParams
+from qhamming.hamming_witness import witness_coeffs
 from qhamming.lp_bound import witness_to_dict
 
 
@@ -23,8 +22,7 @@ def runner():
 
 @pytest.fixture()
 def witness_file(tmp_path):
-    spec = WitnessSpec(3, KrawParams(5, 2))
-    doc = witness_to_dict(witness_coeffs(spec), spec.index_set)
+    doc = witness_to_dict(*witness_coeffs(5, 3, 2))
     path = tmp_path / "witness.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -556,13 +554,22 @@ def test_check_bad_dimension_exits_2(runner):
     assert result.exit_code == 2
 
 
-# Arabic-Indic and fullwidth digits: int() reads them, the wire format does not.
+_SPACED = {"space": " 2", "newline": "2\n", "ideographic_space": "\u30002"}
+
+
+# Arabic-Indic and fullwidth digits, and surrounding whitespace: int() reads
+# them, the wire format does not.
 @pytest.mark.parametrize("args, doc, text", [
     (["bound"], {"n": 1, "m": 2, "S": [0], "coeffs": ["1", "\u0661\u0662"]}, "\u0661\u0662"),
     (["macwilliams", "--direction", "forward"], {"n": 1, "m": 2, "K": "\uff11\uff12/7",
                                                  "A": ["1", "0"]}, "\uff11\uff12/7"),
     (["check", "--n", "5", "--K", "\u0662", "--d", "3", "--m", "2"], None, "\u0662"),
-], ids=["coeffs", "K", "check_K"])
+    *((["bound"], {"n": 1, "m": 2, "S": [0], "coeffs": ["1", text]}, text)
+      for text in _SPACED.values()),
+    *((["check", "--n", "5", "--K", text, "--d", "3", "--m", "2"], None, text)
+      for text in _SPACED.values()),
+], ids=["coeffs", "K", "check_K", *(f"coeffs_{k}" for k in _SPACED),
+        *(f"check_K_{k}" for k in _SPACED)])
 def test_non_ascii_digits_exit_2(runner, tmp_path, args, doc, text):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -18,8 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 from qhamming.cli import main
-from qhamming.hamming_witness import WitnessSpec, witness_coeffs
-from qhamming.krawtchouk import KrawParams
+from qhamming.hamming_witness import witness_coeffs
 from qhamming.lp_bound import KBasisPoly, witness_to_dict
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
@@ -63,17 +62,12 @@ GRID = [args for base in _BASE for args in variants(base)]
 
 
 def write_inputs(directory: Path) -> None:
-    spec = WitnessSpec(3, KrawParams(5, 2))
-    docs = {"witness_d3.json": witness_to_dict(witness_coeffs(spec), spec.index_set)}
-    spec = WitnessSpec(5, KrawParams(9, 3))
-    scaled = [Fraction(c, 7) for c in witness_coeffs(spec).coeffs]
-    docs["witness_d5_scaled.json"] = witness_to_dict(
-        KBasisPoly(spec.params, tuple(scaled)), spec.index_set
-    )
+    docs = {"witness_d3.json": witness_to_dict(*witness_coeffs(5, 3, 2))}
+    f, S = witness_coeffs(9, 5, 3)
+    scaled = [Fraction(c, 7) for c in f.coeffs]
+    docs["witness_d5_scaled.json"] = witness_to_dict(KBasisPoly(f.params, tuple(scaled)), S)
     scaled[1], scaled[6] = Fraction(0), Fraction(-3, 7)
-    docs["witness_d5_broken.json"] = witness_to_dict(
-        KBasisPoly(spec.params, tuple(scaled)), spec.index_set
-    )
+    docs["witness_d5_broken.json"] = witness_to_dict(KBasisPoly(f.params, tuple(scaled)), S)
     docs["dist.json"] = {"n": 3, "m": 2, "K": "3/2", "A": ["1", "1/3", "0", "5/2"]}
     for name, doc in docs.items():
         (directory / name).write_text(json.dumps(doc))

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhamming import hamming_witness
+from qhamming.cli import MAX_N
 from qhamming.exceptions import ConditionError, DomainError, HorizonError
 from qhamming.hamming_witness import (
     NVerdict,
-    WitnessSpec,
     _sign_values,
     _value_table,
     check_n,
@@ -29,29 +29,27 @@ from oracles import (lockstep_horizon, poly_eval, scanned_threshold, squared_par
                      witness_value)
 
 
-def test_spec_derived_fields():
-    spec = WitnessSpec(5, KrawParams(9, 2))
-    assert spec.e == 2
-    assert spec.index_set == (0, 1, 2, 3, 4)
-    # even distance drops the top index but keeps the same set
-    even = WitnessSpec(6, KrawParams(9, 2))
-    assert even.e == 2
-    assert even.index_set == (0, 1, 2, 3, 4)
-    with pytest.raises(DomainError):
-        WitnessSpec(10, KrawParams(9, 2))
-    with pytest.raises(DomainError):
-        WitnessSpec(0, KrawParams(9, 2))
+def test_witness_index_set():
+    # S = {0..2e} with e = 2 for d = 5; even d = 6 drops the top index
+    # d - 1 of {0..d-1} and keeps the same set
+    for d in (5, 6):
+        f, S = witness_coeffs(9, d, 2)
+        assert S == (0, 1, 2, 3, 4)
+        assert f.params == KrawParams(9, 2)
+    for d in (0, 10):
+        with pytest.raises(DomainError, match=rf"^distance d must lie in \[1, 9\], got {d}$"):
+            witness_coeffs(9, d, 2)
 
 
 def test_coeffs_distance_one_is_all_ones():
-    spec = WitnessSpec(1, KrawParams(6, 3))
-    assert witness_coeffs(spec).coeffs == tuple([1] * 7)
+    f, S = witness_coeffs(6, 1, 3)
+    assert f.coeffs == tuple([1] * 7)
+    assert S == (0,)
 
 
 def test_coeffs_known_case():
     # d=3, n=5, m=2: partial sum is 16 - 4t, squared.
-    spec = WitnessSpec(3, KrawParams(5, 2))
-    assert witness_coeffs(spec).coeffs == (256, 144, 64, 16, 0, 16)
+    assert witness_coeffs(5, 3, 2)[0].coeffs == (256, 144, 64, 16, 0, 16)
 
 
 def test_coeffs_equal_squared_defining_sums():
@@ -59,9 +57,8 @@ def test_coeffs_equal_squared_defining_sums():
     for m in range(2, 6):
         for n in range(1, 31):
             for d in range(1, n + 1):
-                spec = WitnessSpec(d, KrawParams(n, m))
-                coeffs = witness_coeffs(spec).coeffs
-                assert coeffs == squared_partial_sums(spec), (n, m, d)
+                coeffs = witness_coeffs(n, d, m)[0].coeffs
+                assert coeffs == squared_partial_sums(n, d, m), (n, m, d)
                 assert all(type(c) is int for c in coeffs), (n, m, d)
 
 
@@ -69,30 +66,27 @@ def test_coeff_at_zero_is_squared_ball_size():
     for n in range(2, 12):
         for m in (2, 3):
             for d in range(1, n + 1):
-                spec = WitnessSpec(d, KrawParams(n, m))
                 g = m * m - 1
-                ball = sum(g**i * comb(n, i) for i in range(spec.e + 1))
-                assert witness_coeffs(spec).coeffs[0] == ball**2
+                ball = sum(g**i * comb(n, i) for i in range((d - 1) // 2 + 1))
+                assert witness_coeffs(n, d, m)[0].coeffs[0] == ball**2
 
 
 def test_value_at_zero_closed_form():
-    spec = WitnessSpec(3, KrawParams(5, 2))
-    assert witness_value(0, spec) == 1024 * 16
+    assert witness_value(0, 5, 3, 2) == 1024 * 16
     for n in range(2, 10):
         for m in (2, 3):
             for d in (1, 3, 5):
                 if d > n:
                     continue
-                spec = WitnessSpec(d, KrawParams(n, m))
                 g = m * m - 1
                 expected = (m**(2 * n)) * sum(
-                    g**s * comb(n, s) for s in range(spec.e + 1)
+                    g**s * comb(n, s) for s in range((d - 1) // 2 + 1)
                 )
-                assert witness_value(0, spec) == expected
+                assert witness_value(0, n, d, m) == expected
 
 
 def test_value_known_case():
-    assert witness_value(2, WitnessSpec(3, KrawParams(4, 2))) == 512
+    assert witness_value(2, 4, 3, 2) == 512
 
 
 def test_value_vanishes_beyond_twice_e():
@@ -101,9 +95,8 @@ def test_value_vanishes_beyond_twice_e():
             for d in (1, 3, 5, 7):
                 if d > n:
                     continue
-                spec = WitnessSpec(d, KrawParams(n, m))
-                for t in range(2 * spec.e + 1, n + 1):
-                    assert witness_value(t, spec) == 0
+                for t in range(d, n + 1):  # t > 2e = d - 1
+                    assert witness_value(t, n, d, m) == 0
 
 
 def test_value_matches_basis_evaluation():
@@ -114,10 +107,9 @@ def test_value_matches_basis_evaluation():
             for d in (1, 3, 5, 7):
                 if d > n:
                     continue
-                spec = WitnessSpec(d, KrawParams(n, m))
-                f = witness_coeffs(spec)
+                f = witness_coeffs(n, d, m)[0]
                 for t in range(n + 1):
-                    assert witness_value(t, spec) == poly_eval(f, t)
+                    assert witness_value(t, n, d, m) == poly_eval(f, t)
 
 
 def test_hamming_rhs_values():
@@ -281,6 +273,13 @@ def test_certified_threshold_equals_scan_rule_to_d41():
     _assert_matches_old_rules(range(16, 42))
 
 
+@pytest.mark.slow
+def test_binary_threshold_passes_the_length_cap_from_d97():
+    # README "Input caps": at m = 2, check --n reaches N(d, 2) only for d <= 96
+    assert find_threshold(95, 2).threshold == MAX_N == 250
+    assert find_threshold(97, 2).threshold == 254
+
+
 def test_lengths_from_n0_to_5n0_pass():
     for d, m in ((3, 2), (8, 3), (15, 5), (25, 2)):
         n0 = find_threshold(d, m).horizon
@@ -397,6 +396,16 @@ def test_coverage_argument_error():
         verify_small_n_coverage(5, 2, 4)
 
 
+@pytest.mark.parametrize("d, m, N, named", [
+    (0, 1, 0, "code length n must be >= 1, got 0"),
+    (5, 1, 5, "level count m must be >= 2, got 1"),
+], ids=["d", "m"])
+def test_coverage_checks_d_and_m_on_an_empty_range(d, m, N, named):
+    # N == d leaves no length to scan, and (d, m) is still checked
+    with pytest.raises(DomainError, match=f"^{named}$"):
+        verify_small_n_coverage(d, m, N)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=2, max_value=3), st.data())
 def test_check_n_bound_matches_hamming_whenever_it_passes(d, m, data):
@@ -412,10 +421,9 @@ def test_check_n_bound_matches_hamming_whenever_it_passes(d, m, data):
 
 def _generic_verdict(n, d, m):
     """The verdict through witness_coeffs and dimension_bound, all t in 0..n."""
-    spec = WitnessSpec(d, KrawParams(n, m))
     rhs = hamming_rhs(n, d, m)
     try:
-        report = dimension_bound(witness_coeffs(spec), spec.index_set)
+        report = dimension_bound(*witness_coeffs(n, d, m))
     except ConditionError:
         return NVerdict(n, False, None, None, rhs)
     passed = report.argmax_t == 0 and report.bound == rhs
@@ -469,9 +477,8 @@ def test_value_table_reproduces_closed_form():
                 deg = e - (t + 1) // 2
                 assert len(row) == e + 1 and not any(row[deg + 1:]), (t, e, m)
                 for n in range(2 * e + 1, 2 * e + deg + 2):
-                    spec = WitnessSpec(2 * e + 1, KrawParams(n, m))
                     value = sum(b * comb(n - t, s) for s, b in enumerate(row))
-                    assert spec.params.q**n * value == witness_value(t, spec), (n, t, e, m)
+                    assert m**(2 * n) * value == witness_value(t, n, 2 * e + 1, m), (n, t, e, m)
 
 
 def test_scan_evaluates_each_length_once(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qhamming.enumerators import WeightDistribution, mw_forward, mw_inverse
 from qhamming.exceptions import ConditionError
-from qhamming.hamming_witness import WitnessSpec, witness_coeffs
+from qhamming.hamming_witness import witness_coeffs
 from qhamming.krawtchouk import KrawParams
 from qhamming.lp_bound import KBasisPoly, check_conditions, dimension_bound
 from qhamming.rational import common_denominator, integer_dots
@@ -71,7 +71,7 @@ def mixed_scalar(rng, positive=False):
 
 def scaled_witness(d, p, lam):
     """The squared partial sum times ``lam``, integral entries kept as ``int``."""
-    coeffs = [c * lam for c in witness_coeffs(WitnessSpec(d, p)).coeffs]
+    coeffs = [c * lam for c in witness_coeffs(p.n, d, p.m)[0].coeffs]
     return KBasisPoly(p, tuple(int(c) if c.denominator == 1 else c for c in coeffs))
 
 
@@ -79,9 +79,8 @@ def witnesses(rng, p):
     """Valid and invalid witnesses with their index sets."""
     n = p.n
     d = rng.randint(1, n)
-    spec = WitnessSpec(d, p)
-    S = spec.index_set
-    yield witness_coeffs(spec), S  # all int
+    f, S = witness_coeffs(n, d, p.m)
+    yield f, S  # all int
     yield scaled_witness(d, p, Fraction(rng.randint(1, 9), rng.randint(1, 9))), S
     full = tuple(range(n + 1))
     yield KBasisPoly(p, tuple(mixed_scalar(rng, positive=True) for _ in full)), full
