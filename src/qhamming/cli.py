@@ -37,8 +37,6 @@ from .hamming_witness import find_threshold, hamming_rhs, singleton_rhs
 from .krawtchouk import KrawParams, kraw_eval
 from .rational import approx_decimal, is_array, is_int, parse_rational, to_wire
 
-_FORMATS = click.Choice(["text", "json", "csv"])
-
 # Input caps.  At its caps the slowest accepted input of each command
 # stays within 5 s and 64 MiB on a 2-core host (README, "Input caps").
 MAX_N = 250  # --n of kraw and check; n of bound and macwilliams documents (MAX_N + 1 per array)
@@ -126,8 +124,8 @@ def _require_lcm_cap(values) -> None:
 
 def _output_options(func):
     func = click.option(
-        "--format", "fmt", type=_FORMATS, default="text", show_default=True,
-        help="Output format.",
+        "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
+        show_default=True, help="Output format.",
     )(func)
     func = click.option(
         "--approx", is_flag=True,
@@ -205,7 +203,7 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
             out = buf.getvalue()
     except ValueError as exc:  # an integer past the int-string digit limit
         raise DomainError(f"result too large to print: {exc}") from exc
-    click.echo(out, nl=False)
+    print(out, end="", flush=True)  # a closed pipe exits 1 through click, not 120 at exit
 
 
 class _Main(click.Group):
@@ -217,7 +215,7 @@ class _Main(click.Group):
         except ConditionError:  # the report is already printed
             sys.exit(3)
         except (DomainError, SchemaError, HorizonError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            sys.stderr.write(f"error: {exc}\n")
             sys.exit(4 if isinstance(exc, HorizonError) else 2)
 
 
@@ -242,7 +240,7 @@ def kraw(k: int, x: int, n: int, m: int, fmt: str, approx: bool) -> None:
 
 
 @main.command()
-@click.argument("witness_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("witness_file")
 @_output_options
 def bound(witness_file: str, fmt: str, approx: bool) -> None:
     """Validate a witness polynomial file and compute its dimension bound.
@@ -349,7 +347,7 @@ def table1(max_d: int, m: int, fmt: str, approx: bool) -> None:
 @main.command()
 @click.option("--direction", type=click.Choice(["forward", "inverse"]), required=True,
               help="forward: distribution -> dual; inverse: dual -> distribution.")
-@click.argument("dist_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("dist_file")
 @_output_options
 def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
     """Transform a weight-distribution file.

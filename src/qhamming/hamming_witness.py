@@ -256,6 +256,8 @@ def verify_small_n_coverage(d: int, m: int, N: int) -> tuple[int, ...]:
     right-hand side; one where it rules out every K >= 2 (no
     information-carrying code exists) is settled.
     """
+    if d < 1:
+        raise DomainError(f"distance d must be >= 1, got {d}")
     if N < d:
         raise DomainError(f"threshold N must be >= d = {d}, got {N}")
     _radius(d, d, m)  # the checks of the first length n = d, also when N == d

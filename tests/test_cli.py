@@ -147,9 +147,16 @@ def test_bound_schema_error_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_bound_missing_file_exits_2(runner):
-    result = runner.invoke(main, ["bound", "/nonexistent/w.json"])
+@pytest.mark.parametrize("command", [["bound"], ["macwilliams", "--direction", "forward"]],
+                         ids=["bound", "macwilliams"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_bound_missing_file_exits_2(runner, tmp_path, command, kind):
+    # the document reader, not click, refuses a path it cannot read as a file
+    path = str(tmp_path / "w.json" if kind == "missing" else tmp_path)
+    result = runner.invoke(main, [*command, path])
     assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot read {path}: ")
 
 
 def test_bound_non_utf8_file_exits_2(runner, tmp_path):

@@ -397,11 +397,13 @@ def test_coverage_argument_error():
 
 
 @pytest.mark.parametrize("d, m, N, named", [
-    (0, 1, 0, "code length n must be >= 1, got 0"),
+    (0, 1, 0, "distance d must be >= 1, got 0"),
+    (0, 2, 5, "distance d must be >= 1, got 0"),
+    (-3, 2, 0, "distance d must be >= 1, got -3"),
     (5, 1, 5, "level count m must be >= 2, got 1"),
-], ids=["d", "m"])
+], ids=["d", "d-nonempty-range", "d-negative", "m"])
 def test_coverage_checks_d_and_m_on_an_empty_range(d, m, N, named):
-    # N == d leaves no length to scan, and (d, m) is still checked
+    # N == d leaves no length to scan, and (d, m) is still checked; d is checked first
     with pytest.raises(DomainError, match=f"^{named}$"):
         verify_small_n_coverage(d, m, N)
 

@@ -1,5 +1,6 @@
 """The package's public surface: its export list, the README's library example,
-and the modules a process loads."""
+the modules a process loads, and what a real process prints."""
+import json
 import os
 import re
 import subprocess
@@ -13,6 +14,8 @@ from click.testing import CliRunner
 
 import qhamming
 from qhamming.cli import main
+from qhamming.hamming_witness import witness_coeffs
+from qhamming.lp_bound import witness_to_dict
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -48,11 +51,12 @@ def test_readme_modules_name_every_export():
     assert missing == []
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on the package under ``src``."""
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the package under ``src``, its stdout buffered."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120, env={**env, "PYTHONPATH": path})
 
 
 def test_import_loads_no_submodule():
@@ -81,3 +85,28 @@ def test_scan_process_loads_no_witness_file_engine(args):
     assert "qhamming.hamming_witness" in loaded
     assert not loaded & {"qhamming.lp_bound", "qhamming.enumerators", "csv"}
     assert proc.stdout == CliRunner().invoke(main, args).stdout
+
+
+@pytest.mark.parametrize("args", [["bound", "{tmp}/witness.json", "--format", "json"],
+                                  ["macwilliams", "--direction", "forward", "{tmp}/dist.json",
+                                   "--format", "json"]],
+                         ids=["bound", "macwilliams"])
+def test_document_process_prints_what_the_runner_prints(args, tmp_path):
+    (tmp_path / "witness.json").write_text(json.dumps(witness_to_dict(*witness_coeffs(9, 5, 3))))
+    (tmp_path / "dist.json").write_text(json.dumps({"n": 3, "m": 2, "K": "3/2",
+                                                    "A": ["1", "1/3", "0", "5/2"]}))
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    proc = _python("-m", "qhamming", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == CliRunner().invoke(main, args).stdout
+
+
+def test_closed_stdout_exits_1():
+    # the output is flushed inside the command, where click turns a broken pipe into exit 1
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python("-m", "qhamming", "threshold", "--d", "5", "--m", "2", stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
