@@ -22,7 +22,6 @@ replacing the exact one.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -192,15 +191,11 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
             out = "".join(lines)
         elif fmt == "json":
             out = json.dumps(to_wire(_with_approx([obj])[0] if approx else obj), indent=2) + "\n"
-        else:
-            import csv
+        else:  # no cell holds ',', '"' or a line break, so none needs quoting
             if approx:
                 rows = _with_approx(rows)
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(rows[0])
-            writer.writerows([_cell(v) for v in row.values()] for row in rows)
-            out = buf.getvalue()
+            lines = [rows[0], *(row.values() for row in rows)]
+            out = "".join(",".join(map(_cell, line)) + "\n" for line in lines)
     except ValueError as exc:  # an integer past the int-string digit limit
         raise DomainError(f"result too large to print: {exc}") from exc
     print(out, end="", flush=True)  # a closed pipe exits 1 through click, not 120 at exit
@@ -287,7 +282,7 @@ def bound(witness_file: str, fmt: str, approx: bool) -> None:
         ]
         text += [(f"  t={t}: ", r) for t, r in report.ratios]
         rows = [
-            {"t": t, "coeff": str(Fraction(poly.coeffs[t])), "ratio": r, "bound": report.bound,
+            {"t": t, "coeff": poly.coeffs[t], "ratio": r, "bound": report.bound,
              "bound_floor": floor, "argmax_t": report.argmax_t}
             for t, r in report.ratios
         ]
@@ -304,7 +299,8 @@ def threshold(d: int, m: int, fmt: str, approx: bool) -> None:
     """Find and prove the least length N from which every length passes."""
     _require_caps(("--d", d, MAX_D), ("--m", m, MAX_M))
     report = find_threshold(d, m)
-    rows = [v.exact_dict() for v in report.per_n]
+    obj = report.exact_dict()
+    rows = obj["per_n"]
     text = [
         f"d={report.d} m={report.m} horizon={report.horizon}",
         f"threshold N = {report.threshold}",
@@ -319,7 +315,7 @@ def threshold(d: int, m: int, fmt: str, approx: bool) -> None:
          "-" if v.bound is None else v.bound, "  ", v.hamming)
         for v in report.per_n
     ]
-    _emit(fmt, approx, text, report.exact_dict(), rows)
+    _emit(fmt, approx, text, obj, rows)
 
 
 @main.command()
@@ -358,7 +354,7 @@ def macwilliams(direction: str, dist_file: str, fmt: str, approx: bool) -> None:
     dist = distribution_from_dict(_load_document(dist_file))
     _require_lcm_cap(dist.entries)
     out = mw_forward(dist) if direction == "forward" else mw_inverse(dist)
-    text = [f"n={out.params.n} m={out.params.m} K={out.K}"]
+    text = [(f"n={out.params.n} m={out.params.m} K=", out.K)]
     text += [(f"  A[{i}] = ", a) for i, a in enumerate(out.entries)]
     rows = [{"i": i, "value": a} for i, a in enumerate(out.entries)]
     _emit(fmt, approx, text, out.exact_dict(), rows)
@@ -382,7 +378,7 @@ def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
     beyond = n >= report.threshold
     row = {
         "n": n,
-        "K": str(K),
+        "K": K,
         "d": d,
         "m": m,
         "hamming_rhs": h,
@@ -397,7 +393,7 @@ def check(n: int, dim: str, d: int, m: int, fmt: str, approx: bool) -> None:
         "n_at_or_beyond_threshold": beyond,
     }
     text = [
-        f"n={n} K={K} d={d} m={m}",
+        (f"n={n} K=", K, f" d={d} m={m}"),
         ("hamming_rhs = ", h),
         f"hamming: {_verdict_word(K, h)}",
         ("singleton_rhs = ", s),

@@ -137,16 +137,6 @@ class NVerdict:
     bound: Optional[Fraction]
     hamming: Fraction
 
-    def exact_dict(self) -> dict:
-        """The ``per_n`` entry of a report, with exact values."""
-        return {
-            "n": self.n,
-            "pass": self.passed,
-            "argmax_t": self.argmax_t,
-            "bound": self.bound,
-            "hamming_rhs": self.hamming,
-        }
-
 
 def _sign_values(n: int, e: int, m: int) -> tuple[list[int], list[int]]:
     """g_t(n) and c_t(n) = f(t)/q^n at the points t of S = {0..2e}."""
@@ -202,7 +192,8 @@ class ThresholdReport:
             "horizon": self.horizon,
             "threshold": self.threshold,
             "stable_tail": True,  # every report is proved
-            "per_n": [v.exact_dict() for v in self.per_n],
+            "per_n": [{"n": v.n, "pass": v.passed, "argmax_t": v.argmax_t, "bound": v.bound,
+                       "hamming_rhs": v.hamming} for v in self.per_n],
         }
 
     def to_dict(self) -> dict:

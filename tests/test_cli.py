@@ -249,9 +249,9 @@ def test_bound_csv_approx_adds_columns(runner, witness_file):
     result = runner.invoke(main, ["bound", witness_file, "--format", "csv", "--approx"])
     assert result.exit_code == 0
     rows = list(csv.reader(io.StringIO(result.output)))
-    assert rows[0][-2:] == ["ratio_approx", "bound_approx"]
-    assert rows[1][-2:] == ["64", "2"]
-    assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain.output)))
+    assert rows[0][-3:] == ["coeff_approx", "ratio_approx", "bound_approx"]
+    assert rows[1][-3:] == ["256", "64", "2"]
+    assert [row[:-3] for row in rows] == list(csv.reader(io.StringIO(plain.output)))
 
 
 def test_bound_json_approx_adds_keys(runner, witness_file):
@@ -537,9 +537,9 @@ def test_check_csv_approx_adds_columns(runner):
     result = runner.invoke(main, args + ["--approx"])
     assert result.exit_code == 0
     rows = list(csv.reader(io.StringIO(result.output)))
-    assert rows[0][-2:] == ["hamming_rhs_approx", "singleton_rhs_approx"]
-    assert rows[1][-2:] == ["2", "2"]
-    assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain)))
+    assert rows[0][-3:] == ["K_approx", "hamming_rhs_approx", "singleton_rhs_approx"]
+    assert rows[1][-3:] == ["2", "2", "2"]
+    assert [row[:-3] for row in rows] == list(csv.reader(io.StringIO(plain)))
 
 
 def test_check_reports_proved_threshold(runner):

@@ -7,7 +7,11 @@ codes and never end in a traceback.  Now and then an integer input, or
 the lcm of a document's denominators, lands just past its cap, and the
 CLI must then exit 2.  Documents valid in every other field, their lcm
 at the cap or up to five bits past it, check that the cap is exact.
+Every CSV printed is what ``csv.writer`` writes for its own cells, so no
+cell needs quoting.
 """
+import csv
+import io
 import json
 import math
 
@@ -39,6 +43,7 @@ def _upto_or_past(top, cap):
 
 _garbage = st.text(max_size=4)
 _small_rationals = st.from_regex(r"[+-]?[0-9]{1,3}(/[1-9][0-9]{0,2})?", fullmatch=True)
+_positive_rationals = st.from_regex(r"[1-9][0-9]{0,2}(/[1-9][0-9]{0,2})?", fullmatch=True)
 _output = st.tuples(
     st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]]),
     st.sampled_from([[], ["--approx"]]),
@@ -126,6 +131,15 @@ def _assert_contract(result, argv, past_a_cap):
         argv, result.exception)
     if past_a_cap:
         assert result.exit_code == 2 and result.stdout == "", (argv, result.output)
+    if any(pair == ("--format", "csv") for pair in zip(argv, argv[1:])):
+        _assert_unquoted_csv(result.stdout, argv)
+
+
+def _assert_unquoted_csv(text, argv):
+    """``text`` is what ``csv.writer`` writes for its own cells, so no cell needed quoting."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+    assert text == buf.getvalue(), argv
 
 
 def _lcm_bits(entries):
@@ -194,8 +208,7 @@ def _at_the_lcm_cap(draw):
     if command == ["bound"]:
         doc.update(S=draw(st.lists(st.integers(0, n), min_size=1)), coeffs=entries)
     else:
-        doc.update(K=draw(st.from_regex(r"[1-9][0-9]{0,2}(/[1-9][0-9]{0,2})?", fullmatch=True)),
-                   A=entries)
+        doc.update(K=draw(_positive_rationals), A=entries)
     return command, doc, j
 
 
@@ -213,3 +226,27 @@ def test_lcm_cap_is_exact(tmp_path, case, output):
         assert result.exit_code in (0, 3) and "lcm" not in result.stderr, (argv, result.output)
     else:
         assert f"lcm must be at most {MAX_LCM_BITS}" in result.stderr, (argv, result.output)
+
+
+@st.composite
+def _valid_argv(draw):
+    """A valid invocation of ``kraw``, ``check``, ``threshold`` or ``table1``."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    d = draw(st.integers(1, 9))
+    n = draw(st.integers(d, 30))
+    options = {
+        "kraw": ["--k", draw(st.integers(0, n)), "--x", draw(st.integers(0, n)), "--n", n],
+        "check": ["--n", n, "--K", draw(_positive_rationals), "--d", d],
+        "threshold": ["--d", d],
+        "table1": ["--max-d", d],
+    }[command]
+    return [command, *map(str, options), "--m", str(draw(st.integers(2, 5)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_argv(), st.sampled_from([[], ["--approx"]]))
+def test_csv_cells_need_no_quoting(argv, approx):
+    argv = argv + ["--format", "csv", *approx]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, (argv, result.output)
+    _assert_unquoted_csv(result.stdout, argv)

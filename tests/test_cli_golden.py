@@ -18,8 +18,10 @@ import pytest
 from click.testing import CliRunner
 
 from qhamming.cli import main
+from qhamming.exceptions import SchemaError
 from qhamming.hamming_witness import witness_coeffs
 from qhamming.lp_bound import KBasisPoly, witness_to_dict
+from qhamming.rational import parse_rational
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
@@ -105,6 +107,36 @@ def test_golden_covers_the_grid():
 @pytest.mark.parametrize("args", GRID, ids=" ".join)
 def test_golden_output(args, inputs):
     assert run(args, inputs) == _golden()[" ".join(args)]
+
+
+def _is_rational(value) -> bool:
+    """A rational string, or a nonempty list of them."""
+    if isinstance(value, list):
+        return bool(value) and all(map(_is_rational, value))
+    try:
+        parse_rational(value)
+    except SchemaError:
+        return False
+    return True
+
+
+def _without_approx(value) -> list:
+    """Keys, at any depth of ``value``, of a rational with no ``<key>_approx`` sibling."""
+    if isinstance(value, list):
+        return [key for v in value for key in _without_approx(v)]
+    if not isinstance(value, dict):
+        return []
+    missing = [k for k, v in value.items()
+               if not k.endswith("_approx") and _is_rational(v) and f"{k}_approx" not in value]
+    return missing + _without_approx(list(value.values()))
+
+
+def test_json_approx_covers_every_rational():
+    entries = [e for e in _golden().values() if e["args"][-3:] == ["--format", "json", "--approx"]]
+    assert len(entries) == len(_BASE)
+    missing = {" ".join(e["args"]): _without_approx(json.loads(e["stdout"]))
+               for e in entries if e["stdout"]}
+    assert {args: keys for args, keys in missing.items() if keys} == {}
 
 
 if __name__ == "__main__":
