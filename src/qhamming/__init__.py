@@ -17,15 +17,15 @@ import importlib
 _SUBMODULE = {
     name: module
     for module, names in {
-        "enumerators": "WeightDistribution check_purity_window distribution_from_dict "
-                       "distribution_to_dict mw_forward mw_inverse",
+        "enumerators": "WeightDistribution distribution_from_dict distribution_to_dict "
+                       "mw_forward mw_inverse",
         "exceptions": "ConditionError DomainError HorizonError SchemaError",
         "hamming_witness": "NVerdict ThresholdReport check_n find_threshold hamming_rhs "
                            "singleton_rhs verify_small_n_coverage witness_coeffs",
         "krawtchouk": "ExactScalar KrawParams kraw_eval kraw_recurrence kraw_table",
         "lp_bound": "BoundReport KBasisPoly check_conditions dimension_bound "
-                    "witness_from_dict witness_to_dict",
-        "rational": "approx_decimal format_rational parse_rational",
+                    "witness_from_dict",
+        "rational": "approx_decimal parse_rational",
     }.items()
     for name in names.split()
 }

@@ -16,8 +16,7 @@ common denominator, take each sum as an integer dot product, and build
 one ``Fraction`` per output entry.  Distributions of actual codes are
 entrywise nonnegative and agree with their duals on every index below
 the minimum distance; neither fact is enforced here (transform outputs
-of arbitrary inputs can be negative), and ``check_purity_window``
-queries the second.
+of arbitrary inputs can be negative).
 """
 from __future__ import annotations
 
@@ -71,17 +70,6 @@ def _transform(dist: WeightDistribution, scale: Fraction) -> WeightDistribution:
     return WeightDistribution(
         dist.params, dist.K, tuple(Fraction(scale.numerator * s, den) for s in sums)
     )
-
-
-def check_purity_window(
-    dist: WeightDistribution, dual: WeightDistribution, d: int
-) -> tuple[int, ...]:
-    """Indices i < d at which ``dist`` and ``dual`` differ (empty when pure)."""
-    if dist.params != dual.params or dist.K != dual.K:
-        raise DomainError("distributions differ in (n, m, K)")
-    if not 1 <= d <= dist.params.n + 1:
-        raise DomainError(f"window size d must lie in [1, {dist.params.n + 1}], got {d}")
-    return tuple(i for i in range(d) if dist.entries[i] != dual.entries[i])
 
 
 # --- JSON wire format -------------------------------------------------

@@ -31,8 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from .exceptions import ConditionError, DomainError, SchemaError
 from .krawtchouk import ExactScalar, KrawParams, kraw_table
 from .rational import (
-    check_document, common_denominator, format_rational, integer_dots, is_array, is_int,
-    parse_rational,
+    check_document, common_denominator, integer_dots, is_array, is_int, parse_rational,
 )
 
 
@@ -105,15 +104,6 @@ def dimension_bound(f: KBasisPoly, S: Iterable[int]) -> BoundReport:
 # --- JSON wire format -------------------------------------------------
 #
 # {"n": int, "m": int, "S": [int, ...], "coeffs": ["rational-string", ...]}
-
-
-def witness_to_dict(f: KBasisPoly, S: Iterable[int]) -> dict:
-    return {
-        "n": f.params.n,
-        "m": f.params.m,
-        "S": list(_normalize_index_set(S, f.params.n)),
-        "coeffs": [format_rational(c) for c in f.coeffs],
-    }
 
 
 def witness_from_dict(doc: Mapping) -> tuple[KBasisPoly, tuple[int, ...]]:

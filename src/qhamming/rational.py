@@ -37,15 +37,10 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(value) -> str:
-    """Canonical rational string: ``"p/q"``, or ``"p"`` when q == 1."""
-    return str(Fraction(value))
-
-
 def to_wire(value):
     """``value`` with every ``Fraction``, also inside dicts and lists, as a rational string."""
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, dict):
         return {k: to_wire(v) for k, v in value.items()}
     if isinstance(value, list):

@@ -21,6 +21,9 @@ second derivation:
 - ``mw_forward``, ``mw_inverse`` and ``reports``: the MacWilliams pair,
   the sign conditions and the dimension bound, adding one ``Fraction``
   term at a time (``distribution`` builds the inputs of the pair);
+- ``witness_to_dict``: the witness document that the package's
+  ``witness_from_dict`` reads, written field by field, so that the
+  reader is checked against a writer it shares no code with;
 - ``scanned_threshold``: N(d, m) by the finite-scan rule that the
   forward-difference certificate replaced;
 - ``lockstep_horizon``: the certificate's n0 by walking every difference
@@ -162,6 +165,12 @@ def reports(f, S):
             best_t, best = t, r
     bound = best / f.params.m**f.params.n
     return ((), ()), BoundReport(bound, best_t, ratios)
+
+
+def witness_to_dict(f, S):
+    """The witness document {"n", "m", "S", "coeffs"}, each coefficient a rational string."""
+    return {"n": f.params.n, "m": f.params.m, "S": list(S),
+            "coeffs": [str(Fraction(c)) for c in f.coeffs]}
 
 
 # --- the threshold ------------------------------------------------------

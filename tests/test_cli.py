@@ -12,7 +12,8 @@ from click.testing import CliRunner
 from qhamming import cli, enumerators, hamming_witness, lp_bound
 from qhamming.cli import main
 from qhamming.hamming_witness import witness_coeffs
-from qhamming.lp_bound import witness_to_dict
+
+from oracles import witness_to_dict
 
 
 @pytest.fixture()

@@ -20,8 +20,10 @@ from click.testing import CliRunner
 from qhamming.cli import main
 from qhamming.exceptions import SchemaError
 from qhamming.hamming_witness import witness_coeffs
-from qhamming.lp_bound import KBasisPoly, witness_to_dict
+from qhamming.lp_bound import KBasisPoly
 from qhamming.rational import parse_rational
+
+from oracles import witness_to_dict
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 

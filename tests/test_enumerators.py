@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qhamming.enumerators import (
     WeightDistribution,
-    check_purity_window,
     distribution_from_dict,
     distribution_to_dict,
     mw_forward,
@@ -150,32 +149,6 @@ def test_monomial_expansion_identity_spot():
                             for r in range(n + 1)
                         )
                         assert lhs == rhs
-
-
-def test_purity_window_equal_distributions():
-    dist = distribution(3, 2, 2, [1, 0, 3, 4])
-    assert check_purity_window(dist, dist, 4) == ()
-
-
-def test_purity_window_detects_mismatch():
-    dist = distribution(2, 2, 1, [1, 0, 0])
-    dual = mw_forward(dist)  # (1/4, 3/2, 9/4) differs at index 0
-    assert check_purity_window(dist, dual, 1) == (0,)
-    assert check_purity_window(dist, dual, 3) == (0, 1, 2)
-
-
-def test_purity_window_domain_errors():
-    a = distribution(2, 2, 1, [1, 0, 0])
-    b = distribution(2, 2, 2, [1, 0, 0])
-    with pytest.raises(DomainError, match=r"^distributions differ in \(n, m, K\)$"):
-        check_purity_window(a, b, 1)  # K differs
-    with pytest.raises(DomainError, match=r"^window size d must lie in \[1, 3\], got 0$"):
-        check_purity_window(a, a, 0)  # empty window
-    with pytest.raises(DomainError, match=r"^window size d must lie in \[1, 3\], got 4$"):
-        check_purity_window(a, a, 4)  # window beyond n+1
-    c = distribution(3, 2, 1, [1, 0, 0, 0])
-    with pytest.raises(DomainError, match=r"^distributions differ in \(n, m, K\)$"):
-        check_purity_window(a, c, 1)  # n differs
 
 
 def test_json_round_trip():

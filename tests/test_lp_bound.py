@@ -14,10 +14,9 @@ from qhamming.lp_bound import (
     check_conditions,
     dimension_bound,
     witness_from_dict,
-    witness_to_dict,
 )
 
-from oracles import poly_eval
+from oracles import poly_eval, witness_to_dict
 
 # Squared-partial-sum witnesses, frozen from hand evaluation of the
 # defining sums (d=3, m=2): f_t = (1 + P_1(t; n))^2.

@@ -15,7 +15,8 @@ from click.testing import CliRunner
 import qhamming
 from qhamming.cli import main
 from qhamming.hamming_witness import witness_coeffs
-from qhamming.lp_bound import witness_to_dict
+
+from oracles import witness_to_dict
 
 SRC = Path(__file__).parents[1] / "src"
 
