@@ -12,14 +12,13 @@ The package is then asked the paper's questions about them.  Shor's
 [[9,1,3]] code is impure (A_2 = 9 at d = 3), yet its distribution still
 agrees with its dual on {0..d-1}, which is all the witness needs.
 """
-from fractions import Fraction
-
 import pytest
 
-from qhamming.enumerators import WeightDistribution, mw_forward, mw_inverse
+from qhamming.enumerators import mw_forward, mw_inverse
 from qhamming.hamming_witness import hamming_rhs, witness_coeffs
-from qhamming.krawtchouk import KrawParams
 from qhamming.lp_bound import dimension_bound
+
+from oracles import distribution
 
 # name: (generators, A, B), every code with k = 1 and d = 3.
 CODES = {
@@ -85,7 +84,7 @@ def enumerators(words):
 
 
 def weights(A):
-    return WeightDistribution(KrawParams(len(A) - 1, M), Fraction(K), tuple(map(Fraction, A)))
+    return distribution(len(A) - 1, M, K, A)
 
 
 @pytest.fixture(scope="module", params=sorted(CODES))
