@@ -20,9 +20,8 @@ of arbitrary inputs can be negative).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exceptions import DomainError, SchemaError
 from .krawtchouk import KrawParams, kraw_table
@@ -31,21 +30,19 @@ from .rational import (
 )
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(NamedTuple("WeightDistribution", [
+        ("params", KrawParams), ("K", Fraction), ("entries", tuple[Fraction, ...])])):
     """A vector A_0..A_n of exact scalars plus the code dimension K."""
 
-    params: KrawParams
-    K: Fraction
-    entries: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.params.n + 1:
-            raise DomainError(
-                f"expected {self.params.n + 1} entries, got {len(self.entries)}"
-            )
-        if self.K <= 0:
-            raise DomainError(f"dimension K must be positive, got {self.K}")
+    def __new__(cls, params: KrawParams, K: Fraction,
+                entries: tuple[Fraction, ...]) -> WeightDistribution:
+        if len(entries) != params.n + 1:
+            raise DomainError(f"expected {params.n + 1} entries, got {len(entries)}")
+        if K <= 0:
+            raise DomainError(f"dimension K must be positive, got {K}")
+        return super().__new__(cls, params, K, entries)
 
     def exact_dict(self) -> dict:
         """The wire document with exact values; ``distribution_to_dict`` renders it."""

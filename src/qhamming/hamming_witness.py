@@ -40,12 +40,11 @@ linearization and the orthogonality extraction) live in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exceptions import DomainError, HorizonError
 from .krawtchouk import KrawParams, kraw_recurrence
@@ -127,8 +126,7 @@ def singleton_rhs(n: int, d: int, m: int) -> Fraction:
     return Fraction(m**exp) if exp >= 0 else Fraction(1, m**-exp)
 
 
-@dataclass(frozen=True)
-class NVerdict:
+class NVerdict(NamedTuple):
     """Outcome of the witness check at one length."""
 
     n: int
@@ -174,8 +172,7 @@ def check_n(n: int, d: int, m: int) -> NVerdict:
     return _verdict(n, m, *_sign_values(n, _radius(n, d, m), m))
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Least N from which every length passes, proved by the scan to n0 = ``horizon``."""
 
     d: int

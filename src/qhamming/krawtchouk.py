@@ -19,10 +19,9 @@ sum above lives in ``tests/oracles.py``, as the recurrence's reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .exceptions import DomainError
 
@@ -30,21 +29,20 @@ from .exceptions import DomainError
 ExactScalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class KrawParams:
+class KrawParams(NamedTuple("KrawParams", [("n", int), ("m", int)])):
     """The pair (n, m) fixing one polynomial family.
 
     n is the code length, m the number of levels per system (m >= 2).
     """
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"code length n must be >= 1, got {self.n}")
-        if self.m < 2:
-            raise DomainError(f"level count m must be >= 2, got {self.m}")
+    def __new__(cls, n: int, m: int) -> KrawParams:
+        if n < 1:
+            raise DomainError(f"code length n must be >= 1, got {n}")
+        if m < 2:
+            raise DomainError(f"level count m must be >= 2, got {m}")
+        return super().__new__(cls, n, m)
 
     @property
     def gamma(self) -> int:

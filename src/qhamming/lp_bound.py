@@ -24,9 +24,8 @@ the raw engine accepts any S and leaves that interpretation to them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exceptions import ConditionError, DomainError, SchemaError
 from .krawtchouk import ExactScalar, KrawParams, kraw_table
@@ -35,22 +34,19 @@ from .rational import (
 )
 
 
-@dataclass(frozen=True)
-class KBasisPoly:
+class KBasisPoly(NamedTuple("KBasisPoly", [("params", KrawParams),
+                                           ("coeffs", tuple[ExactScalar, ...])])):
     """A polynomial stored by its coefficients in the Krawtchouk basis."""
 
-    params: KrawParams
-    coeffs: tuple[ExactScalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.params.n + 1:
-            raise DomainError(
-                f"expected {self.params.n + 1} coefficients, got {len(self.coeffs)}"
-            )
+    def __new__(cls, params: KrawParams, coeffs: tuple[ExactScalar, ...]) -> KBasisPoly:
+        if len(coeffs) != params.n + 1:
+            raise DomainError(f"expected {params.n + 1} coefficients, got {len(coeffs)}")
+        return super().__new__(cls, params, coeffs)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound: Fraction
     argmax_t: int
     ratios: tuple[tuple[int, Fraction], ...]  # (t, f(t)/f_t) for t in S, ascending

@@ -1,5 +1,6 @@
 """The package's public surface: its export list, the README's library example,
-the modules a process loads, and what a real process prints."""
+the records' contract, the modules a process loads, and what a real process prints."""
+import copy
 import json
 import os
 import re
@@ -14,7 +15,10 @@ from click.testing import CliRunner
 
 import qhamming
 from qhamming.cli import main
-from qhamming.hamming_witness import witness_coeffs
+from qhamming.enumerators import WeightDistribution
+from qhamming.hamming_witness import NVerdict, ThresholdReport, witness_coeffs
+from qhamming.krawtchouk import KrawParams
+from qhamming.lp_bound import BoundReport, KBasisPoly
 
 from oracles import witness_to_dict
 
@@ -50,6 +54,31 @@ def test_readme_modules_name_every_export():
     missing = [(module, name) for name, module in qhamming._SUBMODULE.items()
                if not re.search(rf"`{name}[`(]", bullets.get(module, ""))]
     assert missing == []
+
+
+_RECORDS = [
+    (KrawParams, {"n": 5, "m": 2}),
+    (KBasisPoly, {"params": KrawParams(2, 2), "coeffs": (Fraction(1, 2), 0, Fraction(-3))}),
+    (WeightDistribution, {"params": KrawParams(2, 2), "K": Fraction(2),
+                          "entries": (Fraction(1), Fraction(0), Fraction(3, 2))}),
+    (BoundReport, {"bound": Fraction(2), "argmax_t": 0, "ratios": ((0, Fraction(64)),)}),
+    (NVerdict, {"n": 3, "passed": False, "argmax_t": None, "bound": None,
+                "hamming": Fraction(4, 5)}),
+    (ThresholdReport, {"d": 3, "m": 2, "horizon": 5, "threshold": 5,
+                       "per_n": (NVerdict(5, True, 0, Fraction(2), Fraction(2)),)}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_are_immutable_values(cls, fields):
+    record = cls(*fields.values())
+    twin = cls(*copy.deepcopy(list(fields.values())))
+    assert record == twin and hash(record) == hash(twin)
+    assert cls(**fields) == record
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
