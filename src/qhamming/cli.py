@@ -141,35 +141,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _approx(value):
-    if isinstance(value, list):
-        return [approx_decimal(v) for v in value]
-    return None if value is None else approx_decimal(value)
-
-
-def _is_exact(value) -> bool:
-    """A rational, or a nonempty list of rationals, that gets an approximation."""
-    if isinstance(value, list):
-        return bool(value) and all(isinstance(v, Fraction) for v in value)
-    return isinstance(value, Fraction)
-
-
-def _with_approx(rows: list[dict]) -> list[dict]:
-    """Rows with a ``<key>_approx`` appended for each key exact in some row.
-
-    A value that is itself a nonempty list of rows, such as the ``per_n``
-    or ``ratios`` a JSON object nests, gets its own companions.
-    """
-    keys = [k for k in rows[0] if any(_is_exact(row[k]) for row in rows)]
-    out = []
-    for row in rows:
-        row = {k: _with_approx(v) if isinstance(v, list) and v and isinstance(v[0], dict) else v
-               for k, v in row.items()}
-        row.update((f"{k}_approx", _approx(row[k])) for k in keys)
-        out.append(row)
-    return out
-
-
 def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> None:
     """Print one result in format ``fmt``.
 
@@ -190,10 +161,9 @@ def _emit(fmt: str, approx: bool, text: list, obj: dict, rows: list[dict]) -> No
                 ) + "\n")
             out = "".join(lines)
         elif fmt == "json":
-            out = json.dumps(to_wire(_with_approx([obj])[0] if approx else obj), indent=2) + "\n"
+            out = json.dumps(to_wire([obj], approx)[0], indent=2) + "\n"
         else:  # no cell holds ',', '"' or a line break, so none needs quoting
-            if approx:
-                rows = _with_approx(rows)
+            rows = to_wire(rows, approx)
             lines = [rows[0], *(row.values() for row in rows)]
             out = "".join(",".join(map(_cell, line)) + "\n" for line in lines)
     except ValueError as exc:  # an integer past the int-string digit limit

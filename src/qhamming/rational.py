@@ -3,7 +3,8 @@
 A rational travels as a "rational string": either a plain (optionally
 signed) integer like ``"7"`` or a quotient like ``"256/109"``.  Parsing
 and printing round-trip exactly; printing always canonicalizes to
-lowest terms with a positive denominator.  ``check_document`` holds the
+lowest terms with a positive denominator.  ``to_wire`` renders a whole
+result, with the ``--approx`` decimals when asked.  ``check_document`` holds the
 checks that the witness and distribution readers share, and
 ``common_denominator`` with ``integer_dots`` every Krawtchouk-basis sum.
 """
@@ -37,15 +38,37 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def to_wire(value):
-    """``value`` with every ``Fraction``, also inside dicts and lists, as a rational string."""
+def to_wire(value, approx: bool = False):
+    """``value`` with every ``Fraction``, also inside dicts and lists, as a rational string.
+
+    With ``approx``, each dict in a nonempty list of dicts, such as the
+    CSV rows or the ``per_n`` a JSON object nests, also gets a
+    ``<key>_approx`` after its own keys for each key that is exact in
+    some dict of the list: the ``approx_decimal`` of the value, a list
+    of them, or ``None``.
+    """
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
-        return {k: to_wire(v) for k, v in value.items()}
+        return {k: to_wire(v, approx) for k, v in value.items()}
+    if not isinstance(value, list):
+        return value
+    out = [to_wire(v, approx) for v in value]
+    if approx and value and isinstance(value[0], dict):
+        keys = [k for k in value[0] if any(_is_exact(row[k]) for row in value)]
+        for row, wire in zip(value, out):
+            for k in keys:
+                v = row[k]
+                wire[f"{k}_approx"] = ([*map(approx_decimal, v)] if isinstance(v, list)
+                                       else None if v is None else approx_decimal(v))
+    return out
+
+
+def _is_exact(value) -> bool:
+    """A rational, or a nonempty list of rationals, that gets an approximation."""
     if isinstance(value, list):
-        return [to_wire(v) for v in value]
-    return value
+        return bool(value) and all(isinstance(v, Fraction) for v in value)
+    return isinstance(value, Fraction)
 
 
 def common_denominator(values: Sequence) -> tuple[list[int], int]:

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from qhamming import cli, enumerators, hamming_witness, lp_bound
 from qhamming.cli import main
 from qhamming.hamming_witness import witness_coeffs
+from qhamming.rational import to_wire
 
 from oracles import witness_to_dict
 
@@ -347,6 +348,32 @@ def test_threshold_csv_approx_adds_columns(runner):
     assert rows[0][-2:] == ["bound_approx", "hamming_rhs_approx"]
     assert rows[1] == ["3", "false", "2", "4", "4/5", "4", "0.8"]
     assert [row[:-2] for row in rows] == list(csv.reader(io.StringIO(plain)))
+
+
+def test_to_wire_renders_and_approximates_in_one_walk():
+    rows = [
+        {"n": 5, "bound": Fraction(7, 3), "A": [Fraction(1, 4), Fraction(3)], "S": [], "T": [1],
+         "per_n": [{"t": 0, "r": Fraction(1, 2)}, {"t": 1, "r": None}]},
+        {"n": 6, "bound": None, "A": [Fraction(1, 8)], "S": [], "T": [2, 3], "per_n": []},
+    ]
+    plain = [
+        {"n": 5, "bound": "7/3", "A": ["1/4", "3"], "S": [], "T": [1],
+         "per_n": [{"t": 0, "r": "1/2"}, {"t": 1, "r": None}]},
+        {"n": 6, "bound": None, "A": ["1/8"], "S": [], "T": [2, 3], "per_n": []},
+    ]
+    assert to_wire(rows) == to_wire(rows, approx=False) == plain
+    assert to_wire(Fraction(6, 4)) == "3/2" and to_wire({"x": [Fraction(2)]}) == {"x": ["2"]}
+    wire = to_wire(rows, approx=True)
+    # Each row keeps its own keys, then gains the companions in the first row's key order.
+    assert [list(row) for row in wire] == [[*plain[0], "bound_approx", "A_approx"]] * 2
+    assert [list(row) for row in wire[0]["per_n"]] == [["t", "r", "r_approx"]] * 2
+    assert wire[0]["per_n"] == [{"t": 0, "r": "1/2", "r_approx": "0.5"},
+                                {"t": 1, "r": None, "r_approx": None}]
+    assert wire[0]["bound_approx"] == "2.33333333333" and wire[1]["bound_approx"] is None
+    assert wire[0]["A_approx"] == ["0.25", "3"] and wire[1]["A_approx"] == ["0.125"]
+    assert [{k: v for k, v in row.items() if not k.endswith("_approx")} for row in wire] == [
+        {**plain[0], "per_n": wire[0]["per_n"]}, plain[1]]
+    assert rows[0]["bound"] == Fraction(7, 3) and "bound_approx" not in rows[0]  # input untouched
 
 
 # --- table1 -------------------------------------------------------------

@@ -1,18 +1,26 @@
-"""Real stabilizer codes as exact fixtures: the five-qubit, Steane and Shor codes.
+"""Real stabilizer codes as exact fixtures: the five-qubit, Steane, Shor and [[5,1,3]]_3 codes.
 
 Each code's enumerators are computed here from its generators, by brute
-force over Paulis packed into two n-bit masks (x part, z part), with no
-help from the package:
+force with no help from the package: over Paulis packed into two n-bit
+masks (x part, z part) for the qubit codes, and over exponent vectors
+of X^a Z^b on each qutrit for the m = 3 code:
 
-- A_i counts the stabilizer group, all 2^(n-k) products of generators,
+- A_i counts the stabilizer group, all m^(n-k) products of generators,
   by weight;
 - B_i counts every Pauli that commutes with each generator.
 
-The package is then asked the paper's questions about them.  Shor's
-[[9,1,3]] code is impure (A_2 = 9 at d = 3), yet its distribution still
-agrees with its dual on {0..d-1}, which is all the witness needs.
+The package is then asked the paper's questions about them, and its
+``check`` command reads each code's parameters.  Shor's [[9,1,3]] code
+is impure (A_2 = 9 at d = 3), yet its distribution still agrees with
+its dual on {0..d-1}, which is all the witness needs.
 """
+from fractions import Fraction
+from itertools import product
+
 import pytest
+from click.testing import CliRunner
+
+from qhamming.cli import main
 
 from qhamming.enumerators import mw_forward, mw_inverse
 from qhamming.hamming_witness import hamming_rhs, witness_coeffs
@@ -122,3 +130,69 @@ def test_witness_bound_is_the_hamming_bound(code):
     bound = dimension_bound(*witness_coeffs(n, D, M)).bound
     assert bound == hamming_rhs(n, D, M) >= K
     assert (bound == K) == (name == "five-qubit")
+
+
+# [[5,1,3]]_3: X Z Z^2 X^2 I and its three cyclic shifts, each qutrit as
+# the exponents (a, b) of X^a Z^b over Z_3.
+QUTRIT_GENERATOR = ((1, 0), (0, 1), (0, 2), (2, 0), (0, 0))
+QUTRIT_A = (1, 0, 0, 0, 40, 40)
+QUTRIT_B = (1, 0, 0, 80, 240, 408)
+QUTRIT_K = 3
+
+
+def symplectic(p, q):
+    """The symplectic form mod 3 of two qutrit Paulis: 0 when they commute."""
+    return sum(a * bb - b * aa for (a, b), (aa, bb) in zip(p, q)) % 3
+
+
+def qutrit_enumerators(generator):
+    """``(A, B)`` of the qutrit code that ``generator`` and its cyclic shifts generate."""
+    n = len(generator)
+    gens = [generator[-s:] + generator[:-s] for s in range(n - 1)]
+    assert not any(symplectic(g, h) for g in gens for h in gens), "generators must commute"
+    group = {tuple((sum(c * g[j][0] for c, g in zip(cs, gens)) % 3,
+                    sum(c * g[j][1] for c, g in zip(cs, gens)) % 3) for j in range(n))
+             for cs in product(range(3), repeat=len(gens))}
+    assert len(group) == 3 ** len(gens) == 81, "generators must be independent"
+    A, B = [0] * (n + 1), [0] * (n + 1)
+    for p in group:
+        A[sum(e != (0, 0) for e in p)] += 1
+    for p in product(product(range(3), repeat=2), repeat=n):
+        if not any(symplectic(p, g) for g in gens):
+            B[sum(e != (0, 0) for e in p)] += 1
+    return tuple(A), tuple(B)
+
+
+def test_qutrit_code_enumerators():
+    A, B = qutrit_enumerators(QUTRIT_GENERATOR)
+    assert (A, B) == (QUTRIT_A, QUTRIT_B)
+    forward, back = (distribution(5, 3, QUTRIT_K, E) for E in (A, B))
+    assert mw_forward(forward) == back
+    assert mw_inverse(back) == forward
+    assert next(i for i, (a, b) in enumerate(zip(A, B)) if a != b) == D
+
+
+def test_qutrit_witness_bound_is_the_hamming_bound():
+    bound = dimension_bound(*witness_coeffs(5, D, 3)).bound
+    assert bound == hamming_rhs(5, D, 3) == Fraction(243, 41) >= QUTRIT_K
+
+
+# (n, K, m, the Hamming verdict, N(3, m)) of each code above.
+CHECKS = {
+    "five-qubit": (5, 2, 2, "satisfied with equality", 5),
+    "steane": (7, 2, 2, "satisfied", 5),
+    "shor": (9, 2, 2, "satisfied", 5),
+    "qutrit": (5, 3, 3, "satisfied", 4),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_reads_each_code(name):
+    n, dim, m, verdict, N = CHECKS[name]
+    args = ["check", "--n", str(n), "--K", str(dim), "--d", str(D), "--m", str(m)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    assert f"hamming: {verdict}" in lines
+    assert lines[5].startswith(f"threshold N = {N} ")
+    assert lines[6].startswith("n >= N: yes;")
