@@ -4,9 +4,10 @@ A rational travels as a "rational string": either a plain (optionally
 signed) integer like ``"7"`` or a quotient like ``"256/109"``.  Parsing
 and printing round-trip exactly; printing always canonicalizes to
 lowest terms with a positive denominator.  ``to_wire`` renders a whole
-result, with the ``--approx`` decimals when asked.  ``check_document`` holds the
-checks that the witness and distribution readers share, and
-``common_denominator`` with ``integer_dots`` every Krawtchouk-basis sum.
+result, and with ``approx`` also the decimal approximations that
+``--approx`` prints.  ``check_document`` holds the checks that the
+witness and distribution readers share, and ``common_denominator`` with
+``integer_dots`` every Krawtchouk-basis sum.
 """
 from __future__ import annotations
 
