@@ -13,8 +13,10 @@ and c_0(n) = sum_{i<=e} gamma^i C(n, i) is the ball itself.
 When the ratio f(t)/f_t over S is maximized at t = 0, the certified
 dimension bound is therefore the sphere-packing (Hamming) right-hand
 side m^n / c_0(n).  For n >= d that holds iff g(t) != 0 and
-D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for t = 1..2e.  These 4e sign
-polynomials p (g(t)^2 - 1 and D_t) have degree <= 3e in n, and
+D_t = c_0 g(t)^2 - c_t g(0)^2 >= 0 for t = 1..2e, and D_t >= 0 alone
+suffices: g(0) = c_0 and c_t >= B[t][0] >= 1 on S (``_value_table``
+counts, with the term a = t//2, b = t - a at s = 0), so g(t)^2 >= c_0 c_t
+>= 1.  These 2e sign polynomials p = D_t have degree <= 3e in n, and
 p(n0 + x) = sum_k Delta^k p(n0) C(x, k), so p >= 0 at every n >= n0 once
 all its forward differences at n0 are; they then stay >= 0 at n0 + 1.
 ``find_threshold`` takes 3e + 2 samples (g, c) from n = d, requires each
@@ -209,9 +211,7 @@ def find_threshold(d: int, m: int) -> ThresholdReport:
     KrawParams(d, m)  # checks m before any sample is taken
     e = (d - 1) // 2
     samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
-    rows = [[x * x - 1 for x in g[1:]]
-            + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])]
-            for g, c in samples]
+    rows = [[c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])] for g, c in samples]
     n0 = d
     for column in map(list, zip(*rows)):
         diffs = []

@@ -185,15 +185,13 @@ def scanned_threshold(d, m):
 def lockstep_horizon(d, m):
     """Least n0 >= d at which every forward difference of every sign polynomial is >= 0.
 
-    Takes the same 3e + 2 samples as ``find_threshold`` and moves all 4e
+    Takes the same 3e + 2 samples as ``find_threshold`` and moves all 2e
     difference vectors up one length at a time, by
     Delta^k += Delta^(k+1), until no entry of any of them is negative.
     """
     e = (d - 1) // 2
     samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
-    rows = [[x * x - 1 for x in g[1:]]
-            + [c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])]
-            for g, c in samples]
+    rows = [[c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])] for g, c in samples]
     vectors = []
     for column in map(list, zip(*rows)):
         diffs = []

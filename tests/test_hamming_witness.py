@@ -326,19 +326,28 @@ def test_certificate_negative_top_difference_raises(monkeypatch):
         find_threshold(3, 2)
 
 
-def test_certificate_requires_nonzero_partial_sums(monkeypatch):
-    # g(1) = n - 5 vanishes at n = 5, where D_1 = g(1)^2 >= 0 still
-    # holds; only the g(1)^2 - 1 >= 0 vector keeps n0 above 5.
-    def fake(n, e, m):
-        return [1, n - 5, 1], [1, 0, 0]
+def test_value_table_counts_make_c_t_positive():
+    # The certificate walks only D_t: it gets g(t) != 0 from D_t >= 0
+    # through c_t(n) >= B[t][0] >= 1 on S, which needs B to be counts.
+    for m in (2, 3, 5, 1024):
+        for e in range(21):
+            B = _value_table(e, m)
+            assert len(B) == 2 * e + 1
+            assert all(b >= 0 for row in B for b in row), (e, m)
+            assert all(row[0] >= 1 for row in B), (e, m)
 
-    monkeypatch.setattr(hamming_witness, "_sign_values", fake)
-    assert find_threshold(3, 2).horizon == 6
+
+def test_certificate_horizons_past_d26():
+    # (threshold, horizon) at the least d where also walking g(t)^2 - 1
+    # would raise n0: the certificate proves the pass condition alone.
+    for m, expected in ((5, (41, 41)), (8, (37, 38))):
+        report = find_threshold(27, m)
+        assert (report.threshold, report.horizon) == expected, m
 
 
 def test_certificate_one_binding_difference(monkeypatch):
     # D_1 = 4 - (10 - n) = n - 6 is the only polynomial negative at
-    # n = 3; g(1)^2 - 1 = 3, g(2)^2 - 1 = 0 and D_2 = 1 need no steps.
+    # n = 3; D_2 = 1 needs no steps.
     def fake(n, e, m):
         return [1, 2, 1], [1, 10 - n, 0]
 

@@ -1,5 +1,7 @@
 """The package's public surface: its export list, the README's library example,
-the records' contract, the modules a process loads, and what a real process prints."""
+the records' contract, the modules a process loads, what a real process prints,
+and the exact arithmetic of its source."""
+import ast
 import copy
 import json
 import os
@@ -140,3 +142,30 @@ def test_closed_stdout_exits_1():
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_source_uses_no_floating_point():
+    # Verdicts are exact: no float or complex literal, no float(), no
+    # cmath or statistics, and from math only the three integer helpers
+    # in use.  approx_decimal's Decimal only prints.
+    allowed = {"comb", "lcm", "floor"}
+    found = []
+    for path in sorted((SRC / "qhamming").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant):
+                bad = isinstance(node.value, (float, complex))
+            elif isinstance(node, ast.Name):
+                bad = node.id == "float"
+            elif isinstance(node, ast.Import):
+                bad = any(a.name in ("cmath", "statistics") or a.name == "math" and a.asname
+                          for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module in ("cmath", "statistics") or (
+                    node.module == "math" and any(a.name not in allowed for a in node.names))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                bad = node.value.id == "math" and node.attr not in allowed
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

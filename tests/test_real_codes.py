@@ -7,7 +7,9 @@ of X^a Z^b on each qutrit for the m = 3 code:
 
 - A_i counts the stabilizer group, all m^(n-k) products of generators,
   by weight;
-- B_i counts every Pauli that commutes with each generator.
+- B_i counts every Pauli that commutes with each generator;
+- the shadow counts every Pauli that anticommutes with exactly the
+  generators of odd weight (Rains).
 
 The package is then asked the paper's questions about them, and its
 ``check`` command reads each code's parameters.  Shor's [[9,1,3]] code
@@ -76,19 +78,35 @@ def enumerators(words):
     A = [0] * (n + 1)
     for x, z in group:
         A[(x | z).bit_count()] += 1
-    # P commutes with g iff parity(x & g_z) == parity(z & g_x): match the two syndromes.
+    return tuple(A), coset_weights(n, gens, 0)
+
+
+def coset_weights(n, gens, flips):
+    """Weights of the Paulis that anticommute with exactly the generators in the mask ``flips``."""
+    # P anticommutes with g iff parity(x & g_z) != parity(z & g_x): match the two syndromes.
     by_x, by_z = {}, {}
     for v in range(1 << n):
         by_x.setdefault(sum(((v & gz).bit_count() & 1) << j for j, (_, gz) in enumerate(gens)),
                         []).append(v)
         by_z.setdefault(sum(((v & gx).bit_count() & 1) << j for j, (gx, _) in enumerate(gens)),
                         []).append(v)
-    B = [0] * (n + 1)
+    counts = [0] * (n + 1)
     for syndrome, xs in by_x.items():
         for x in xs:
-            for z in by_z.get(syndrome, ()):
-                B[(x | z).bit_count()] += 1
-    return tuple(A), tuple(B)
+            for z in by_z.get(syndrome ^ flips, ()):
+                counts[(x | z).bit_count()] += 1
+    return tuple(counts)
+
+
+def shadow(words):
+    """Rains' shadow: the Paulis that anticommute with a generator iff its weight is odd.
+
+    Weight parity is additive over commuting Paulis, so the generators
+    decide it for the whole stabilizer group.
+    """
+    gens = [pauli(w) for w in words]
+    odd = sum(((x | z).bit_count() & 1) << j for j, (x, z) in enumerate(gens))
+    return coset_weights(len(words[0]), gens, odd)
 
 
 def weights(A):
@@ -115,6 +133,22 @@ def test_macwilliams_pair(code):
     _, _, A, B = code
     assert mw_forward(weights(A)) == weights(B)
     assert mw_inverse(weights(B)) == weights(A)
+
+
+def test_shadow_is_the_transform_of_the_signed_distribution(code):
+    # Every generator has even weight, so the shadow is the normalizer B.
+    _, words, A, B = code
+    n = len(A) - 1
+    signed = distribution(n, M, K, [(-1) ** r * a for r, a in enumerate(A)])
+    assert mw_forward(signed) == weights(shadow(words)) == weights(B)
+
+
+def test_shadow_of_an_odd_weight_stabilizer():
+    # [[3,2,1]] with stabilizer ZZZ: A = (1, 0, 0, 1) and K = 4
+    signed = distribution(3, M, 4, (1, 0, 0, -1))
+    expected = (0, 6, 12, 14)
+    assert shadow(["ZZZ"]) == expected != enumerators(["ZZZ"])[1]
+    assert mw_forward(signed) == distribution(3, M, 4, expected)
 
 
 def test_dual_agrees_below_the_distance(code):
