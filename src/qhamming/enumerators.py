@@ -21,13 +21,12 @@ of arbitrary inputs can be negative).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, NamedTuple
 
 from .exceptions import DomainError, SchemaError
 from .krawtchouk import KrawParams, kraw_table
-from .rational import (
-    check_document, common_denominator, integer_dots, is_array, parse_rational, to_wire,
-)
+from .rational import check_document, common_denominator, is_array, parse_rational, to_wire
 
 
 class WeightDistribution(NamedTuple("WeightDistribution", [
@@ -63,10 +62,9 @@ def _transform(dist: WeightDistribution, scale: Fraction) -> WeightDistribution:
     """Entries scale * sum_j A_j P_i(j) for i = 0..n."""
     ints, L = common_denominator(dist.entries)
     den = scale.denominator * L
-    sums = integer_dots(ints, kraw_table(dist.params))
-    return WeightDistribution(
-        dist.params, dist.K, tuple(Fraction(scale.numerator * s, den) for s in sums)
-    )
+    return WeightDistribution(dist.params, dist.K, tuple(
+        Fraction(scale.numerator * sum(map(mul, ints, row)), den)
+        for row in kraw_table(dist.params)))
 
 
 # --- JSON wire format -------------------------------------------------

@@ -33,8 +33,8 @@ Krawtchouk table.  Outside S both sign conditions hold by construction
 c_t(n) = sum_{s<=e} B[t][s] C(n-t, s) with the n-free count table B of
 ``_value_table``.  The generic route,
 ``lp_bound.dimension_bound(*witness_coeffs(n, d, m))``, gives the same
-verdict over every t in 0..n.  Both take g from ``_partial_sums``, the sum
-of the rows of the degree recurrence ``kraw_recurrence``, and e from
+verdict over every t in 0..n, also without a table.  Both take g from
+``kraw_sums``, the Krawtchouk-basis sum with unit weights, and e from
 ``_radius``, the one check of (n, d, m).  The independent routes that
 cross-check them (the defining sums, the closed forms, product
 linearization and the orthogonality extraction) live in
@@ -45,11 +45,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .exceptions import DomainError, HorizonError
-from .krawtchouk import KrawParams, kraw_recurrence
+from .krawtchouk import KrawParams, kraw_sums
 from .rational import to_wire
 
 
@@ -61,14 +60,6 @@ def _radius(n: int, d: int, m: int) -> int:
     return (d - 1) // 2
 
 
-def _partial_sums(e: int, xs: Sequence[int], p: KrawParams) -> list[int]:
-    """g(x) = P_0(x) + P_1(x) + ... + P_e(x) for each x in xs."""
-    total = [0] * len(xs)
-    for row in kraw_recurrence(e, xs, p):
-        total = list(map(add, total, row))
-    return total
-
-
 def witness_coeffs(n: int, d: int, m: int) -> tuple[KBasisPoly, tuple[int, ...]]:
     """The coefficients f_t = g(t)^2 for t = 0..n, and the index set S = {0..2e}.
 
@@ -76,7 +67,7 @@ def witness_coeffs(n: int, d: int, m: int) -> tuple[KBasisPoly, tuple[int, ...]]
     """
     from .lp_bound import KBasisPoly
     e, p = _radius(n, d, m), KrawParams(n, m)
-    f = KBasisPoly(p, tuple(g**2 for g in _partial_sums(e, range(n + 1), p)))
+    f = KBasisPoly(p, tuple(g**2 for g in kraw_sums([1] * (e + 1), range(n + 1), p)))
     return f, tuple(range(2 * e + 1))
 
 
@@ -141,7 +132,7 @@ class NVerdict(NamedTuple):
 def _sign_values(n: int, e: int, m: int) -> tuple[list[int], list[int]]:
     """g_t(n) and c_t(n) = f(t)/q^n at the points t of S = {0..2e}."""
     S = range(2 * e + 1)
-    g = _partial_sums(e, S, KrawParams(n, m))
+    g = kraw_sums([1] * (e + 1), S, KrawParams(n, m))
     B = _value_table(e, m)
     return g, [sum(b * comb(n - t, s) for s, b in enumerate(B[t])) for t in S]
 
@@ -208,8 +199,7 @@ def find_threshold(d: int, m: int) -> ThresholdReport:
     """
     if d < 1:
         raise DomainError(f"distance d must be >= 1, got {d}")
-    KrawParams(d, m)  # checks m before any sample is taken
-    e = (d - 1) // 2
+    e = _radius(d, d, m)  # checks m before any sample is taken
     samples = [_sign_values(n, e, m) for n in range(d, d + 3 * e + 2)]
     rows = [[c[0] * x * x - ct * g[0] ** 2 for x, ct in zip(g[1:], c[1:])] for g, c in samples]
     n0 = d

@@ -11,11 +11,13 @@ and every value is an exact (arbitrary-precision) integer.
 
 All functions are pure.  Every value comes from the degree recurrence:
 ``kraw_recurrence`` yields its rows k = 0..k_max at chosen points, two
-alive at a time.  ``kraw_eval`` (the ``kraw`` command) takes the last
-row at one point, the witness adds the rows up, and
-``kraw_table`` collects the (n+1)^2 table for ``lp_bound`` and the
-MacWilliams transforms, caching only a few recent (n, m).  The defining
-sum above lives in ``tests/oracles.py``, as the recurrence's reference.
+alive at a time.  ``kraw_sums`` streams those rows into the basis sums
+sum_k c_k P_k(x) at chosen points: the witness values of ``lp_bound``,
+the partial sums g of the witness (unit weights) and ``kraw_eval``, the
+``kraw`` command (the unit vector e_k at one point).  ``kraw_table``
+collects the (n+1)^2 table for the MacWilliams transforms alone, caching
+only a few recent (n, m).  The defining sum above lives in
+``tests/oracles.py``, as the recurrence's reference.
 """
 from __future__ import annotations
 
@@ -61,10 +63,21 @@ def _require_range(name: str, value: int, n: int) -> None:
 
 
 def kraw_eval(k: int, x: int, p: KrawParams) -> int:
-    """Evaluate P_k(x; n): the last row of the degree recurrence at x."""
-    for (value,) in kraw_recurrence(k, (x,), p):
-        pass
-    return value
+    """Evaluate P_k(x; n): the basis sum of the unit vector e_k at x."""
+    _require_range("degree k", k, p.n)
+    return kraw_sums([0] * k + [1], (x,), p)[0]
+
+
+def kraw_sums(coeffs: Sequence[int], xs: Sequence[int], p: KrawParams) -> list[int]:
+    """``[sum_k coeffs[k] * P_k(x) for x in xs]``, one recurrence row at a time.
+
+    Only the sums and two rows stay alive, O(len(xs)) integers.  More
+    than n + 1 coefficients, or none, is a degree out of range.
+    """
+    sums = [0] * len(xs)
+    for c, row in zip(coeffs, kraw_recurrence(len(coeffs) - 1, xs, p)):
+        sums = [s + c * v for s, v in zip(sums, row)]
+    return sums
 
 
 def kraw_recurrence(k_max: int, xs: Sequence[int], p: KrawParams) -> Iterator[list[int]]:
@@ -95,8 +108,8 @@ def _recurrence_rows(k_max: int, xs: Sequence[int], n: int, q: int) -> Iterator[
         yield cur
 
 
-# Callers reuse a table right away (a transform and its inverse on one
-# (n, m), or the values of one witness), so a few entries suffice.
+# The one caller, the MacWilliams pair, reuses a table right away (a
+# transform and its inverse on one (n, m)), so a few entries suffice.
 @lru_cache(maxsize=4)
 def kraw_table(p: KrawParams) -> tuple[tuple[int, ...], ...]:
     """All values P_k(x; n) as ``table[k][x]`` for k, x in {0..n}."""

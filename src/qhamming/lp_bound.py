@@ -11,9 +11,11 @@ on S satisfies
 
     K <= (1/m^n) max_{t in S} f(t) / f_t.
 
-Values are integer dot products: over the coefficients' common
-denominator L > 0, L f(t) and L f_t are integers, both conditions read
-their signs, and each ratio is one ``Fraction`` of the two (L cancels).
+Values are integer basis sums: over the coefficients' common
+denominator L > 0 the L f_t are integers, and ``kraw_sums`` streams the
+recurrence rows into the integers L f(t) with no table.  Both
+conditions read their signs, and each ratio is one ``Fraction`` of the
+two (L cancels).
 
 ``check_conditions`` returns the indices that violate each condition,
 both empty exactly when the witness is valid; ``dimension_bound``
@@ -28,10 +30,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exceptions import ConditionError, DomainError, SchemaError
-from .krawtchouk import ExactScalar, KrawParams, kraw_table
-from .rational import (
-    check_document, common_denominator, integer_dots, is_array, is_int, parse_rational,
-)
+from .krawtchouk import ExactScalar, KrawParams, kraw_sums
+from .rational import check_document, common_denominator, is_array, is_int, parse_rational
 
 
 class KBasisPoly(NamedTuple("KBasisPoly", [("params", KrawParams),
@@ -55,7 +55,7 @@ class BoundReport(NamedTuple):
 def _poly_values(f: KBasisPoly) -> tuple[list[int], list[int]]:
     """L * f(t) for t = 0..n and L * f_r for r = 0..n, with L > 0."""
     ints, _ = common_denominator(f.coeffs)
-    return integer_dots(ints, zip(*kraw_table(f.params))), ints
+    return kraw_sums(ints, range(f.params.n + 1), f.params), ints
 
 
 def _normalize_index_set(S: Iterable[int], n: int) -> tuple[int, ...]:

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhamming import hamming_witness
-from qhamming.cli import MAX_N
+from qhamming import hamming_witness, krawtchouk
+from qhamming.cli import MAX_N, main
 from qhamming.exceptions import ConditionError, DomainError, HorizonError
 from qhamming.hamming_witness import (
     NVerdict,
@@ -22,10 +23,10 @@ from qhamming.hamming_witness import (
     witness_coeffs,
 )
 from qhamming.krawtchouk import KrawParams, kraw_table
-from qhamming.lp_bound import dimension_bound
+from qhamming.lp_bound import check_conditions, dimension_bound
 
 from oracles import (lockstep_horizon, poly_eval, scanned_threshold, squared_partial_sums,
-                     witness_value)
+                     witness_to_dict, witness_value)
 
 
 def test_witness_index_set():
@@ -455,7 +456,6 @@ def test_check_n_matches_generic_route():
         for n in range(1, 51):
             for d in range(1, min(11, n) + 1):
                 _assert_matches_generic(n, d, m)
-            kraw_table.cache_clear()
 
 
 @pytest.mark.slow
@@ -466,12 +466,19 @@ def test_check_n_matches_generic_route_full_grid():
             for d in range(1, min(25, n) + 1):
                 if n <= max(100, 10 * d):
                     _assert_matches_generic(n, d, m)
-            kraw_table.cache_clear()
 
 
-def test_scan_builds_no_krawtchouk_table():
+def test_scan_builds_no_krawtchouk_table(tmp_path):
+    # Only the MacWilliams pair reads the table: the scan, the generic
+    # witness route and the bound command stream their sums.
     kraw_table.cache_clear()
     find_threshold(15, 3)
+    f, S = witness_coeffs(40, 7, 3)
+    dimension_bound(f, S)
+    assert check_conditions(f, S) == ((), ())
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness_to_dict(f, S)))
+    assert CliRunner().invoke(main, ["bound", str(path)]).exit_code == 0
     assert kraw_table.cache_info().currsize == 0
 
 
@@ -513,12 +520,12 @@ def test_scan_evaluates_each_length_once(monkeypatch):
 def test_check_n_zero_partial_sum_fails_conditions(monkeypatch):
     # g(t) never vanishes on S for any length scanned in practice, so
     # force a zero at t = 1 to exercise the condition-failure verdict.
-    real = hamming_witness.kraw_recurrence
+    real = krawtchouk.kraw_recurrence
 
     def zero_at_one(k_max, xs, p):
         for row in real(k_max, xs, p):
             yield [0 if x == 1 else v for x, v in zip(xs, row)]
 
-    monkeypatch.setattr(hamming_witness, "kraw_recurrence", zero_at_one)
+    monkeypatch.setattr(krawtchouk, "kraw_recurrence", zero_at_one)
     verdict = check_n(9, 5, 2)
     assert verdict == NVerdict(9, False, None, None, hamming_rhs(9, 5, 2))

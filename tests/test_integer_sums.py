@@ -18,7 +18,7 @@ from qhamming.exceptions import ConditionError
 from qhamming.hamming_witness import witness_coeffs
 from qhamming.krawtchouk import KrawParams
 from qhamming.lp_bound import KBasisPoly, check_conditions, dimension_bound
-from qhamming.rational import common_denominator, integer_dots
+from qhamming.rational import common_denominator
 
 import oracles
 
@@ -112,10 +112,6 @@ def test_common_denominator_is_lcm_not_product():
     assert L == 60
     assert ints == [10, 15, 18]
     assert [Fraction(v, L) for v in ints] == values
-
-
-def test_integer_dots():
-    assert integer_dots([1, -2, 3], [(1, 1, 1), (0, 5, -1), (2, 0, 0)]) == [2, -13, 2]
 
 
 # --- Tier-1 grid --------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +12,7 @@ from qhamming.krawtchouk import (
     KrawParams,
     kraw_eval,
     kraw_recurrence,
+    kraw_sums,
     kraw_table,
 )
 
@@ -119,6 +121,33 @@ def test_recurrence_domain_errors():
         kraw_recurrence(5, [0], p)
     with pytest.raises(DomainError, match=r"^point x must lie in \[0, 4\], got 5$"):
         kraw_recurrence(2, [0, 5], p)
+
+
+def test_sums_match_defining_sums():
+    # Signed big coefficients, some zero, with fewer than n + 1 of them or
+    # all, at a subset of the points in shuffled order.
+    rng = random.Random(31)
+    for m in (2, 3, 5):
+        for n in range(1, 21):
+            p = KrawParams(n, m)
+            for count in sorted({1, n // 2 + 1, n + 1}):
+                coeffs = [rng.choice((0, rng.randint(-10**40, 10**40))) for _ in range(count)]
+                xs = rng.sample(range(n + 1), rng.randint(1, n + 1))
+                assert kraw_sums(coeffs, xs, p) == [
+                    sum(c * kraw_sum(k, x, p) for k, c in enumerate(coeffs)) for x in xs
+                ], (n, m, count)
+
+
+def test_sums_domain_errors():
+    # More than n + 1 coefficients, or none, is a degree out of range.
+    p = KrawParams(4, 2)
+    with pytest.raises(DomainError, match=r"^degree k must lie in \[0, 4\], got 5$"):
+        kraw_sums([1] * 6, [0], p)
+    with pytest.raises(DomainError, match=r"^degree k must lie in \[0, 4\], got -1$"):
+        kraw_sums([], [0], p)
+    for x in (5, -1):
+        with pytest.raises(DomainError, match=rf"^point x must lie in \[0, 4\], got {x}$"):
+            kraw_sums([1, 2], [0, x], p)
 
 
 @settings(max_examples=60, deadline=None)

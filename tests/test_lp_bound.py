@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,21 @@ def test_bound_witness_n4_max_leaves_zero():
         (1, Fraction(1024, 81)),
         (2, Fraction(512, 25)),
     )
+
+
+def test_bound_at_the_caps_holds_no_table():
+    # sum_r P_r(t) = q^n [t = 0], so unit coefficients with S = {0} are a
+    # valid witness whose bound is m^n.  At n = 250, m = 1024 its values
+    # have about 5,000 bits; the (n+1)^2 table alone took about 16 MiB.
+    n, m = 250, 1024
+    tracemalloc.start()
+    try:
+        report = dimension_bound(_poly([1] * (n + 1), n, m), [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.bound == m**n
+    assert peak < 2 * 2**20
 
 
 def test_ratios_consistent_with_pointwise_values():
